@@ -1,13 +1,12 @@
-"""Tracked benchmark for the parallel trial engine: warm pool vs cold vs serial.
+"""Tracked benchmark for the parallel trial engine: warm pool vs serial.
 
 Runs a figure2-style method sweep (srs / ssp / lws / lss) over one Sports
-workload three ways — serially in-process, through the legacy "cold" engine
-(fresh process pool + per-worker workload rebuild every run), and through the
-warm worker pool (persistent workers attached to shared-memory dataset
-pages) — then verifies all three produce **byte-identical** estimate
-fingerprints and reports the wall-clock ratios.  The driver emits
-``BENCH_parallel.json`` at the repository root so successive PRs leave a perf
-trajectory next to ``BENCH_micro.json``.
+workload two ways — serially in-process and through the warm worker pool
+(persistent workers attached to shared-memory dataset pages) — then
+verifies both produce **byte-identical** estimate fingerprints and reports
+the wall-clock ratio.  The script writes ``BENCH_parallel.json`` at the
+repository root so successive changes leave a perf trajectory next to
+``BENCH_micro.json``.
 
 The fingerprint identity is asserted unconditionally (a divergence is a hard
 failure everywhere, CI included).  The >=2x speedup-at-4-workers gate is only
@@ -44,7 +43,6 @@ from repro.parallel import (  # noqa: E402
     ParallelTrialRunner,
     WarmPool,
     available_workers,
-    clear_workload_cache,
     default_start_method,
     estimates_fingerprint,
 )
@@ -72,35 +70,12 @@ BASELINE_TOLERANCE = 0.8
 def _sweep_serial(workload: Workload, budget: int, trials: int) -> dict[str, dict]:
     results: dict[str, dict] = {}
     for method in METHODS:
-        clear_workload_cache()
         runner = ParallelTrialRunner(
             workload_spec=workload.spec,
             num_trials=trials,
             seed=MASTER_SEED,
             workers=1,
             workload=workload,
-        )
-        started = time.perf_counter()
-        runner.run(method, MethodSpec(method), budget)
-        results[method] = {
-            "seconds": time.perf_counter() - started,
-            "fingerprint": estimates_fingerprint(runner.estimates[method]),
-        }
-    return results
-
-
-def _sweep_cold(workload: Workload, budget: int, trials: int, workers: int) -> dict[str, dict]:
-    """Legacy engine: every method pays a fresh pool + per-worker rebuild."""
-    results: dict[str, dict] = {}
-    for method in METHODS:
-        clear_workload_cache()
-        runner = ParallelTrialRunner(
-            workload_spec=workload.spec,
-            num_trials=trials,
-            seed=MASTER_SEED,
-            workers=workers,
-            workload=workload,
-            dispatch="cold",
         )
         started = time.perf_counter()
         runner.run(method, MethodSpec(method), budget)
@@ -163,7 +138,7 @@ def run_suite(
     workers: int = GATE_WORKERS,
     breakdown: bool = False,
 ) -> dict:
-    """Run the three-way sweep and assemble the trajectory document.
+    """Run the serial and warm sweeps and assemble the trajectory document.
 
     With ``breakdown=True`` the run enables ``repro.obs``: serial and warm
     sweeps each get estimator-stage second shares, and the warm sweep also
@@ -187,7 +162,6 @@ def run_suite(
         registry.reset()
     serial = _sweep_serial(workload, budget, trials)
     serial_stages = group_stage_totals(stage_totals(registry)) if breakdown else None
-    cold = _sweep_cold(workload, budget, trials, workers)
     if breakdown:
         registry.reset()
     warm, startup_seconds = _sweep_warm(workload, budget, trials, workers)
@@ -211,42 +185,35 @@ def run_suite(
     methods = []
     for method in METHODS:
         expected = serial[method]["fingerprint"]
-        for label, sweep in (("cold", cold), ("warm", warm)):
-            actual = sweep[method]["fingerprint"]
-            assert actual == expected, (
-                f"{label} dispatch diverged from serial for {method}: "
-                f"{actual} != {expected}"
-            )
+        actual = warm[method]["fingerprint"]
+        assert actual == expected, (
+            f"warm pool diverged from serial for {method}: {actual} != {expected}"
+        )
         methods.append(
             {
                 "method": method,
                 "serial_seconds": serial[method]["seconds"],
-                "cold_seconds": cold[method]["seconds"],
                 "warm_seconds": warm[method]["seconds"],
                 "fingerprint": expected,
             }
         )
         print(
             f"{method:6s} serial {serial[method]['seconds']*1e3:8.1f} ms  "
-            f"cold {cold[method]['seconds']*1e3:8.1f} ms  "
             f"warm {warm[method]['seconds']*1e3:8.1f} ms"
         )
 
     total_serial = sum(entry["serial_seconds"] for entry in methods)
-    total_cold = sum(entry["cold_seconds"] for entry in methods)
     total_warm = sum(entry["warm_seconds"] for entry in methods)
     usable = available_workers()
     gate = _gate(total_serial, total_warm, usable, workers)
     totals = {
         "serial_seconds": total_serial,
-        "cold_seconds": total_cold,
         "warm_seconds": total_warm,
         "warm_startup_seconds": startup_seconds,
         "warm_speedup_vs_serial": round(total_serial / total_warm, 3) if total_warm else None,
-        "warm_speedup_vs_cold": round(total_cold / total_warm, 3) if total_warm else None,
     }
     print(
-        f"totals serial {total_serial:.2f} s  cold {total_cold:.2f} s  "
+        f"totals serial {total_serial:.2f} s  "
         f"warm {total_warm:.2f} s (+{startup_seconds:.2f} s startup)  "
         f"gate {gate['status']} ({gate['speedup']}x vs {gate['target']}x target)"
     )

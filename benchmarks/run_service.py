@@ -1,14 +1,15 @@
 """Tracked benchmark for the estimate service: warm score-reuse vs cold one-shot.
 
 Measures what residency buys.  The *cold* path answers every request the
-pre-service way — a one-shot ``learn_to_sample`` that pays the full learning
-phase (labelling + classifier training + whole-table scoring) per call.  The
-*warm* path answers the same requests through the running estimate server:
-the learning phase is paid once on the first request, and every subsequent
-request samples over the resident scores.  The driver reports p50/p99 request
-latency and estimates/sec for both paths, verifies warm responses are
-deterministic (same request → byte-identical fingerprint), and emits
-``BENCH_service.json`` at the repository root next to the other trajectories.
+pre-service way — a one-shot ``Session().estimate_query(...)`` that pays
+the full learning phase (labelling + classifier training + whole-table
+scoring) per call.  The *warm* path answers the same requests through the
+running estimate server: the learning phase is paid once on the first
+request, and every subsequent request samples over the resident scores.
+The script reports p50/p99 request latency and estimates/sec for both paths,
+verifies warm responses are deterministic (same request → byte-identical
+fingerprint), and emits ``BENCH_service.json`` at the repository root next
+to the other trajectories.
 
 The gated method is LWS: its sampling phase is a pure PPS draw, so the
 cold/warm gap isolates exactly what residency amortises (labelling,
@@ -36,7 +37,6 @@ import pathlib
 import platform
 import sys
 import time
-import warnings
 
 _REPO_ROOT = pathlib.Path(__file__).parent.parent
 _SRC = _REPO_ROOT / "src"
@@ -46,9 +46,9 @@ if str(_SRC) not in sys.path:
 import numpy as np  # noqa: E402
 
 from repro import obs  # noqa: E402
-from repro.core.pipeline import learn_to_sample  # noqa: E402
 from repro.obs.export import group_stage_totals, stage_totals  # noqa: E402
 from repro.service.server import ServerThread, request_json  # noqa: E402
+from repro.service.session import Session  # noqa: E402
 from repro.workloads.queries import WorkloadSpec  # noqa: E402
 
 DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_service.json"
@@ -78,17 +78,13 @@ def _latency_summary(latencies: "list[float]") -> dict:
     }
 
 
-def _run_cold(workload, method: str, budget: int, requests: int) -> "list[float]":
-    """One-shot ``learn_to_sample`` per request: full learning phase every time."""
+def _run_one_shot(workload, method: str, budget: int, requests: int) -> "list[float]":
+    """A throwaway session's ``estimate_query`` per request: full learning every time."""
     latencies = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for index in range(requests):
-            started = time.perf_counter()
-            learn_to_sample(
-                workload.query, budget, method=method, seed=MASTER_SEED + index
-            )
-            latencies.append(time.perf_counter() - started)
+    for index in range(requests):
+        started = time.perf_counter()
+        Session().estimate_query(workload.query, budget, method=method, seed=MASTER_SEED + index)
+        latencies.append(time.perf_counter() - started)
     return latencies
 
 
@@ -184,7 +180,7 @@ def run_suite(scale: str = "full", requests: int | None = None, breakdown: bool 
     for method, method_requests in (("lws", requests), ("lss", max(3, requests // 4))):
         if breakdown:
             registry.reset()
-        cold_latencies = _run_cold(workload, method, budget, method_requests)
+        cold_latencies = _run_one_shot(workload, method, budget, method_requests)
         cold_stages = group_stage_totals(stage_totals(registry)) if breakdown else None
         if breakdown:
             registry.reset()

@@ -21,10 +21,12 @@ def test_ablation_optimizers(benchmark, report):
     by_name = {row["algorithm"]: row for row in rows}
 
     # Empirical counterparts of the approximation theorems (all far inside
-    # their proven bounds on this instance family).
-    assert by_name["dirsol"]["vs_optimum"] <= 1.3
-    assert by_name["logbdr"]["vs_optimum"] <= 4.0
-    assert by_name["dynpgm"]["vs_optimum"] <= 4.0
+    # their proven bounds on this instance family): each optimizer closes at
+    # least 90% of the fixed-width layout's gap to the brute-force optimum.
+    baseline_gap = by_name["fixed-width"]["gap_to_optimum"]
+    assert baseline_gap > 0.0
+    for name in ("dirsol", "logbdr", "dynpgm"):
+        assert 0.0 <= by_name[name]["gap_to_optimum"] <= 0.1 * baseline_gap
     # The fixed layouts are the baselines the optimizers must beat.
     assert by_name["dynpgm"]["objective"] <= by_name["fixed-height"]["objective"] + 1e-9
     # DynPgm must be far faster than exhaustive search on this instance.

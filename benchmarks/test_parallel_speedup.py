@@ -1,12 +1,12 @@
-"""Benchmark: warm-pool speedup and three-way equivalence at scale.
+"""Benchmark: warm-pool speedup and serial equivalence at scale.
 
 Reuses the sweep helpers from ``benchmarks/run_parallel.py`` (the driver
 behind the committed ``BENCH_parallel.json``) at small scale: a figure2-style
-method sweep runs serially, through the legacy cold engine, and through the
-warm worker pool on the same workload and master seed.  Byte-identical
-fingerprints are asserted unconditionally; the >=2x wall-clock gate only
-runs on machines with at least 4 usable cores, because a process pool cannot
-beat serial execution on a single-CPU box.
+method sweep runs serially and through the warm worker pool on the same
+workload and master seed.  Byte-identical fingerprints are asserted
+unconditionally; the >=2x wall-clock gate only runs on machines with at
+least 4 usable cores, because a process pool cannot beat serial execution
+on a single-CPU box.
 """
 
 import pathlib
@@ -26,20 +26,19 @@ pytestmark = [pytest.mark.slow, pytest.mark.benchmark]
 def test_warm_pool_sweep_equivalence_and_speedup(benchmark, report):
     document = benchmark.pedantic(run_suite, kwargs={"scale": "small"}, rounds=1, iterations=1)
 
-    # run_suite raises on any serial/cold/warm fingerprint divergence; the
+    # run_suite raises on any serial/warm fingerprint divergence; the
     # flag in the document records that the assertion actually ran.
     assert document["fingerprints_identical"] is True
 
     totals = document["totals"]
     gate = document["gate"]
     report(
-        "Warm pool — figure2-style sweep, serial vs cold vs warm at 4 workers",
+        "Warm pool — figure2-style sweep, serial vs warm at 4 workers",
         [
             {
                 "methods": "+".join(entry["method"] for entry in document["methods"]),
                 "trials_per_method": document["trials_per_method"],
                 "serial_s": round(totals["serial_seconds"], 3),
-                "cold_s": round(totals["cold_seconds"], 3),
                 "warm_s": round(totals["warm_seconds"], 3),
                 "warm_startup_s": round(totals["warm_startup_seconds"], 3),
                 "speedup_vs_serial": gate["speedup"],

@@ -77,7 +77,7 @@ def main() -> None:
     print(f"True count (for validation): {query.true_count()}\n")
 
     # A lazily-constructed session: nothing becomes resident, the facade just
-    # dispatches the caller-owned query exactly as learn_to_sample once did.
+    # runs the chosen estimator over the caller-owned query.
     with session() as facade:
         for method in ("lws", "lss", "srs"):
             result = facade.estimate_query(query, budget=budget, method=method, seed=7)

@@ -51,12 +51,11 @@ from repro import obs
 from repro.core.estimate import CountEstimate
 from repro.core.lss import LearnedStratifiedSampling
 from repro.core.lws import LearnedWeightedSampling
-from repro.core.pipeline import LearnToSampleResult, learn_to_sample
 from repro.core.scores import LearnedScores, LearnedScoresSpec, learn_scores
 from repro.query.counting import CountingQuery
 from repro.sampling.srs import SimpleRandomSampling
 from repro.sampling.stratified import StratifiedSampling
-from repro.service.session import Session, session
+from repro.service.session import LearnToSampleResult, Session, session
 
 __version__ = "0.4.0"
 
@@ -72,7 +71,6 @@ __all__ = [
     "SimpleRandomSampling",
     "StratifiedSampling",
     "learn_scores",
-    "learn_to_sample",
     "obs",
     "session",
     "__version__",

@@ -20,17 +20,14 @@ the sampling and learning substrates:
 from repro.core.estimate import CountEstimate
 from repro.core.lss import LearnedStratifiedSampling, LSSPhaseTimings
 from repro.core.lws import LearnedWeightedSampling
-from repro.core.pipeline import LearnToSampleResult, learn_to_sample
 from repro.core.scores import LearnedScores, LearnedScoresSpec, learn_scores
 
 __all__ = [
     "CountEstimate",
     "LSSPhaseTimings",
-    "LearnToSampleResult",
     "LearnedScores",
     "LearnedScoresSpec",
     "LearnedStratifiedSampling",
     "LearnedWeightedSampling",
     "learn_scores",
-    "learn_to_sample",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.lss import LearnedStratifiedSampling
 from repro.experiments.common import build_scaled_workload
 from repro.experiments.config import SMALL_SCALE, ExperimentScale
-from repro.parallel.engine import ExecutionEngine
+from repro.parallel.engine import ordered_map
 from repro.query.counting import CountingQuery
 from repro.query.predicates import CallablePredicate
 from repro.sampling.rng import spawn_seeds
@@ -126,9 +126,8 @@ def run_figure3_overhead(
     (one rebuilt workload each); timing rows keep their order.
     """
     workers = scale.workers if workers is None else workers
-    engine = ExecutionEngine(workers=workers, chunk_size=1)
     tasks = [
         (dataset, level, scale, fraction, trials_per_point, predicate_cost_seconds)
         for fraction in sample_fractions
     ]
-    return engine.map(_overhead_point, tasks)
+    return ordered_map(_overhead_point, tasks, workers)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.experiments.common import build_scaled_workload
 from repro.experiments.config import SMALL_SCALE, ExperimentScale
-from repro.parallel.engine import ExecutionEngine
+from repro.parallel.engine import ordered_map
 
 
 def _selectivity_cell(args: tuple[str, str | float, ExperimentScale]) -> dict[str, object]:
@@ -38,6 +38,5 @@ def run_table1_selectivity(
     deterministic, so the table is identical for any worker count.
     """
     workers = scale.workers if workers is None else workers
-    engine = ExecutionEngine(workers=workers, chunk_size=1)
     cells = [(dataset, level, scale) for dataset in scale.datasets for level in scale.levels]
-    return engine.map(_selectivity_cell, cells)
+    return ordered_map(_selectivity_cell, cells, workers)

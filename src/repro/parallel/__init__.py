@@ -5,34 +5,36 @@ distribution over independent trials — but naive fan-out breaks the one
 property a reproduction cannot give up: seed-exact results.  This package
 makes parallelism a pure performance knob:
 
-* :class:`~repro.parallel.pool.WarmPool` — a persistent worker pool whose
-  workers attach zero-copy to shared-memory dataset pages
-  (:mod:`~repro.parallel.shm`), resolve the workload **once** at start-up,
-  and then stream compact trial tasks; pools are shared process-wide so a
-  multi-method sweep pays start-up once.
+* :class:`~repro.parallel.pool.WarmPool` — the one trial engine: a
+  persistent worker pool whose workers attach zero-copy to shared-memory
+  dataset pages (:mod:`~repro.parallel.shm`), resolve the workload **once**
+  at start-up, and then stream compact trial tasks; pools are shared
+  process-wide so a multi-method sweep pays start-up once.
 * :mod:`~repro.parallel.shm` — publishes dataset columns, label caches and
   npz-cache pages into ``multiprocessing.shared_memory`` segments with a
   tiny picklable manifest, with pid-guarded unlink-on-exit hygiene.
-* :class:`~repro.parallel.engine.ExecutionEngine` — chunked, order-
-  preserving process-pool map with a zero-overhead serial path (the legacy
-  "cold" dispatch, and still the engine behind generic array fan-out).
+* :mod:`~repro.parallel.engine` — affinity-aware ``workers=`` resolution
+  and :func:`~repro.parallel.engine.ordered_map`, the plain order-preserving
+  process-pool map that Table 1, Figure 3, the ablation and batch scoring
+  fan out with.
 * :class:`~repro.parallel.methods.MethodSpec` /
   :class:`~repro.workloads.queries.WorkloadSpec` /
   :class:`~repro.parallel.tasks.TrialTask` — pickle-safe descriptions of
   what to run, so closures never cross process boundaries.
 * :class:`~repro.parallel.runner.ParallelTrialRunner` — shards trials over
-  workers using the same per-trial child streams as the serial runner and
-  reduces compact per-trial records (or bare fingerprint digests, via
-  ``run_fingerprints``) into the usual distribution summaries.  Results
-  are byte-identical to serial execution for the same master seed.
+  the warm pool's workers using the same per-trial child streams as the
+  serial runner and reduces compact per-trial records (or bare fingerprint
+  digests, via ``run_fingerprints``) into the usual distribution summaries.
+  Results are byte-identical to serial execution for the same master seed.
 * :mod:`~repro.parallel.fingerprint` — byte-exact estimate fingerprints
   used to audit that guarantee.
 """
 
 from repro.parallel.batch import predict_scores_chunked
 from repro.parallel.engine import (
-    ExecutionEngine,
     available_workers,
+    default_start_method,
+    ordered_map,
     reset_oversubscription_warning,
     resolve_worker_count,
 )
@@ -50,7 +52,6 @@ from repro.parallel.pool import (
     ChunkRetryError,
     WarmPool,
     close_shared_pools,
-    default_start_method,
     dispatch_chunk_size,
     shared_pool,
 )
@@ -71,10 +72,8 @@ from repro.parallel.tasks import (
     TrialResult,
     TrialTask,
     clear_workload_cache,
-    execute_trial_chunk,
     execute_trials,
     open_chunk,
-    prime_workload_cache,
     run_single_trial,
     seal_chunk,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "ChunkCorruptionError",
     "ChunkEnvelope",
     "ChunkRetryError",
-    "ExecutionEngine",
     "METHODS",
     "METHOD_COST_HINTS",
     "MethodSpec",
@@ -106,13 +104,12 @@ __all__ = [
     "estimate_digest",
     "estimate_fingerprint",
     "estimates_fingerprint",
-    "execute_trial_chunk",
     "execute_trials",
     "fingerprints_digest",
     "open_chunk",
+    "ordered_map",
     "pages_alive",
     "predict_scores_chunked",
-    "prime_workload_cache",
     "seal_chunk",
     "publish_arrays",
     "publish_cached_dataset",

@@ -1,4 +1,4 @@
-"""Chunked batch evaluation helpers built on the execution engine.
+"""Chunked batch evaluation helpers built on :func:`~repro.parallel.engine.ordered_map`.
 
 These cover the bulk, trivially-parallel array jobs in the experiment
 drivers — scoring a whole object set with a trained classifier, evaluating a
@@ -19,7 +19,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.learning.base import Classifier
-from repro.parallel.engine import ExecutionEngine, resolve_worker_count
+from repro.parallel.engine import ordered_map, resolve_worker_count
 from repro.parallel.shm import AttachedPages, PageManifest, attach_pages, publish_arrays
 
 _FEATURES_KEY = "features"
@@ -81,11 +81,10 @@ def predict_scores_chunked(
     num_rows = features.shape[0]
     if chunk_size is None:
         chunk_size = max(1, -(-num_rows // workers))
-    engine = ExecutionEngine(workers=workers, chunk_size=1)
     with publish_arrays({_FEATURES_KEY: np.ascontiguousarray(features)}) as pages:
         payloads = [
             (classifier, pages.manifest, start, min(start + chunk_size, num_rows))
             for start in range(0, num_rows, chunk_size)
         ]
-        parts = engine.map(_score_shm_chunk, payloads)
+        parts = ordered_map(_score_shm_chunk, payloads, workers)
     return np.concatenate(parts)

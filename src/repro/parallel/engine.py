@@ -1,33 +1,23 @@
-"""A small deterministic fan-out executor over a process pool.
+"""Worker-count resolution and a plain ordered process-pool map.
 
-The engine turns a list of picklable work items into a list of results with
-the same ordering regardless of worker count.  Work is dispatched in
-contiguous chunks sized to the data (rather than one item at a time) so that
-per-task pickling and scheduling overhead is amortised; results are
-reassembled by chunk index, so interleaving across workers can never reorder
-them.  ``workers <= 1`` short-circuits to a plain in-process loop with zero
-pool overhead, which is the default everywhere — parallelism is strictly
-opt-in via the ``workers=`` knob.
+Trials run on the warm pool (:mod:`repro.parallel.pool`); what remains here
+is the shared ``workers=`` knob handling — affinity-aware core counts and the
+once-per-process oversubscription warning — plus :func:`ordered_map`, which
+Table 1, Figure 3, the ablation and batch scoring use to fan a handful of
+independent items out over a short-lived process pool.  ``workers <= 1`` is a plain
+in-process loop, the default everywhere: parallelism is strictly opt-in.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
-
-#: Chunks per worker the default chunking aims for; >1 smooths out uneven
-#: per-item cost (cheap srs trials vs. expensive lss trials) without
-#: submitting so many chunks that dispatch overhead dominates.
-_OVERSUBSCRIPTION = 2
 
 
 def available_workers() -> int:
@@ -76,8 +66,8 @@ def resolve_worker_count(workers: int | None, warn: bool = True) -> int:
 
     ``None`` or ``0`` means "use the usable hardware" — affinity-aware, so a
     process pinned to 2 of 64 cores gets 2 workers, not 64.  Negative values
-    are rejected; values above the item count are clamped later, at chunk
-    time, not here.  Explicitly requesting more workers than there are
+    are rejected; values above the item count are clamped later, at pool
+    creation, not here.  Explicitly requesting more workers than there are
     usable cores is honoured (oversubscription is occasionally wanted) but
     warned about once per process, because it silently produced the
     historical 0.52x "speedup": the benchmark ran 4 workers on 1 core.
@@ -91,109 +81,31 @@ def resolve_worker_count(workers: int | None, warn: bool = True) -> int:
     return workers
 
 
-def chunk_items(
-    items: Sequence[Item], workers: int, chunk_size: int | None = None
-) -> list[tuple[Item, ...]]:
-    """Split ``items`` into contiguous chunks sized to the data.
+def default_start_method() -> str:
+    """``fork`` where the platform offers it, else ``spawn``.
 
-    The default aims for ``workers * _OVERSUBSCRIPTION`` chunks so stragglers
-    can be balanced, while never producing empty chunks.
+    Fork-started workers inherit the parent's imported modules and caches,
+    so pool start-up is cheapest; spawn (the only option on Windows, the
+    default on macOS) pays a one-time interpreter boot per worker but is
+    immune to fork-safety hazards in user extensions.  Results never differ.
     """
-    if chunk_size is None:
-        target_chunks = max(workers * _OVERSUBSCRIPTION, 1)
-        chunk_size = max(1, math.ceil(len(items) / target_chunks))
-    elif chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    return [tuple(items[start : start + chunk_size]) for start in range(0, len(items), chunk_size)]
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
-def _run_chunk(function: Callable[[Item], Result], chunk: tuple[Item, ...]) -> list[Result]:
-    return [function(item) for item in chunk]
+def ordered_map(
+    function: Callable[[Item], Result], items: Iterable[Item], workers: int | None = 1
+) -> list[Result]:
+    """Apply ``function`` to every item, returning results in input order.
 
-
-@dataclass
-class ExecutionEngine:
-    """Deterministically map a function over items with optional fan-out.
-
-    Attributes:
-        workers: process count.  ``<= 1`` runs in-process (serial);
-            ``None``/``0`` uses every available CPU.
-        chunk_size: items per dispatched chunk; sized to the data when
-            omitted.
-        start_method: multiprocessing start method; ``fork`` (when the
-            platform offers it) lets workers inherit primed caches, while
-            ``spawn`` workers rebuild from the shipped specs.  Results are
-            identical either way.
+    Serial when ``workers <= 1`` or there is at most one item; otherwise the
+    items go one per task to a fresh process pool of ``min(workers, items)``
+    processes, so ``function`` must be picklable (module-level).  The first
+    exception raised by any item propagates to the caller.
     """
-
-    workers: int | None = 1
-    chunk_size: int | None = None
-    start_method: str | None = None
-
-    def _context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-    def workers_inherit_parent_state(self) -> bool:
-        """Whether pool workers see the parent's memory at creation time.
-
-        True under ``fork``: module-level caches primed before the pool is
-        created are inherited for free, so callers can skip shipping bulk
-        state through task payloads.
-        """
-        return self._context().get_start_method() == "fork"
-
-    def diagnostics(self) -> dict[str, object]:
-        """How this engine would actually execute, hardware included.
-
-        ``usable_cores`` is the affinity-aware CPU count; ``oversubscribed``
-        flags the configuration that made the historical parallel benchmark
-        lose to serial (more workers than usable cores).
-        """
-        resolved = resolve_worker_count(self.workers, warn=False)
-        usable = available_workers()
-        return {
-            "requested_workers": self.workers,
-            "resolved_workers": resolved,
-            "usable_cores": usable,
-            "oversubscribed": resolved > usable,
-            "start_method": self._context().get_start_method(),
-            "chunk_size": self.chunk_size,
-        }
-
-    def map(self, function: Callable[[Item], Result], items: Iterable[Item]) -> list[Result]:
-        """Apply ``function`` to every item, preserving input order.
-
-        ``function`` must be a module-level callable (or otherwise
-        picklable) when ``workers > 1``.  Exceptions raised by any item
-        propagate to the caller.
-        """
-        return self.map_chunks(functools.partial(_run_chunk, function), items)
-
-    def map_chunks(
-        self,
-        chunk_function: Callable[[tuple[Item, ...]], list[Result]],
-        items: Iterable[Item],
-    ) -> list[Result]:
-        """Like :meth:`map`, but hand whole chunks to ``chunk_function``.
-
-        Used when the callee amortises per-chunk setup itself (e.g. the
-        trial executor, which resolves its workload once per chunk).
-        ``chunk_function`` must return one result per item, in order.
-        """
-        items = list(items)
-        workers = resolve_worker_count(self.workers)
-        if not items:
-            return []
-        if workers <= 1 or len(items) <= 1:
-            return list(chunk_function(tuple(items)))
-        chunks = chunk_items(items, workers, self.chunk_size)
-        max_workers = min(workers, len(chunks))
-        with ProcessPoolExecutor(max_workers=max_workers, mp_context=self._context()) as pool:
-            futures = [pool.submit(chunk_function, chunk) for chunk in chunks]
-            results: list[Result] = []
-            for future in futures:
-                results.extend(future.result())
-        return results
+    items = list(items)
+    workers = resolve_worker_count(workers)
+    if workers <= 1 or len(items) <= 1:
+        return [function(item) for item in items]
+    context = multiprocessing.get_context(default_start_method())
+    with ProcessPoolExecutor(max_workers=min(workers, len(items)), mp_context=context) as pool:
+        return list(pool.map(function, items))

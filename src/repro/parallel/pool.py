@@ -1,13 +1,12 @@
 """A persistent warm worker pool that attaches to shared dataset pages.
 
-The cold execution path (:class:`~repro.parallel.engine.ExecutionEngine`)
-pays for a fresh process pool per run and rebuilds the workload inside every
-worker from its spec — dataset generation, calibration, grid index, backend,
-bulk label scan.  For the paper's embarrassingly parallel trial sweeps that
-overhead dwarfs the trials themselves, which is how the original benchmark
-recorded a 0.52x "speedup" at 4 workers.
+This is the one trial engine behind every ``workers > 1`` run.  A pool that
+is created per run and rebuilds the workload inside every worker from its
+spec — dataset generation, calibration, grid index, backend, bulk label
+scan — pays overhead that dwarfs the paper's cheap trials, which is how an
+early benchmark recorded a 0.52x "speedup" at 4 workers.
 
-:class:`WarmPool` inverts the lifecycle:
+:class:`WarmPool` inverts that lifecycle:
 
 * the parent publishes the built workload's dataset columns and bulk label
   cache **once** into shared-memory pages (:mod:`repro.parallel.shm`);
@@ -28,7 +27,6 @@ Determinism is untouched: workers execute the same
 ``i`` draws child stream ``i``, and the equivalence suite holds the results
 byte-identical across worker counts, chunkings and start methods.
 """
-
 from __future__ import annotations
 
 import atexit
@@ -44,7 +42,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro import obs
-from repro.parallel.engine import available_workers, resolve_worker_count
+from repro.parallel.engine import (
+    available_workers,
+    default_start_method,
+    resolve_worker_count,
+)
 from repro.parallel.methods import MethodSpec
 from repro.parallel.shm import (
     PageManifest,
@@ -62,7 +64,6 @@ from repro.parallel.tasks import (
     TrialTask,
     execute_trials,
     open_chunk,
-    prime_workload_cache,
     seal_chunk,
 )
 from repro.resilience.faults import ChunkFault, TransientFaultError, active_plan
@@ -122,19 +123,14 @@ _WORKER_STATE: dict[str, object] = {}
 def _warm_worker_init(spec: WorkloadSpec, manifest: PageManifest) -> None:
     """One-time worker setup: map pages, resolve the workload, hold both.
 
-    Runs once per worker process for the pool's whole lifetime — this is
-    the rebuild the cold path used to repeat per process *per run*.  The
-    table comes from the shared pages zero-copy; calibration, grid index
-    and backend are derived from it deterministically, and the label cache
-    page (when published) replaces the bulk predicate scan outright.
+    Runs once per worker process for the pool's whole lifetime, never per
+    run.  The table comes from the shared pages zero-copy; calibration, grid
+    index and backend are derived from it deterministically, and the label
+    cache page (when published) replaces the bulk predicate scan outright.
     """
     attached = attach_pages(manifest)
     table, labels = table_from_pages(attached)
-    workload = spec.build(table=table, label_cache=labels)
-    # Also prime the per-process spec cache so any cold-path helper running
-    # inside this worker resolves to the same object.
-    prime_workload_cache(spec, workload)
-    _WORKER_STATE["workload"] = workload
+    _WORKER_STATE["workload"] = spec.build(table=table, label_cache=labels)
     _WORKER_STATE["attached"] = attached
 
 
@@ -540,17 +536,6 @@ class WarmPool:
             "shared_pages": len(pages.manifest.pages) if pages is not None else 0,
             "shared_bytes": pages.manifest.total_bytes if pages is not None else 0,
         }
-
-
-def default_start_method() -> str:
-    """``fork`` where the platform offers it, else ``spawn``.
-
-    Fork-started workers inherit the parent's imported modules and caches,
-    so pool start-up is cheapest; spawn (the only option on Windows, the
-    default on macOS) pays a one-time interpreter boot per worker but is
-    immune to fork-safety hazards in user extensions.  Results never differ.
-    """
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 # -- process-wide pool reuse --------------------------------------------------

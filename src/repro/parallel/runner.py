@@ -1,55 +1,34 @@
 """Deterministic parallel counterpart of :class:`~repro.workloads.runner.TrialRunner`.
 
-Trials are sharded across worker processes in contiguous chunks; every trial
+Trials are sharded across the workers of a persistent
+:class:`~repro.parallel.pool.WarmPool` in contiguous chunks; every trial
 ``i`` draws from the same child stream ``spawn_seeds(seed, n)[i]`` it would
-receive serially, workers hold (or rebuild) an identical workload, and
-per-trial accounting is scoped to the task — so the resulting estimates are
-**byte-identical** to a serial run with the same master seed, for any worker
-count and any chunking.
-
-Two dispatch strategies exist:
-
-* ``dispatch="warm"`` (the default) — a persistent
-  :class:`~repro.parallel.pool.WarmPool` whose workers attach zero-copy to
-  shared-memory dataset pages and resolve the workload **once**, then
-  stream compact :class:`~repro.parallel.tasks.TrialTask` descriptors.
-  Pools are shared process-wide per ``(spec, workers, start_method)``, so a
-  multi-method sweep pays pool start-up once.
-* ``dispatch="cold"`` — the legacy per-run
-  :class:`~repro.parallel.engine.ExecutionEngine` path, which creates a
-  fresh process pool per run and rebuilds the workload per worker from its
-  spec.  Kept as the baseline the warm pool is benchmarked against
-  (``benchmarks/run_parallel.py``).
+receive serially, workers hold an identical workload resolved once from
+shared-memory dataset pages, and per-trial accounting is scoped to the task
+— so the resulting estimates are **byte-identical** to a serial run with the
+same master seed, for any worker count and any chunking.  Pools are shared
+process-wide per ``(spec, workers, start_method)``, so a multi-method sweep
+pays pool start-up once.
 
 The reduce step ships only compact :class:`~repro.parallel.tasks.TrialResult`
 records — or, for verification-only callers
 (:meth:`ParallelTrialRunner.run_fingerprints`), 32-byte digests — back to
 the parent, which reassembles them in trial order.
 """
-
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.core.estimate import CountEstimate
-from repro.parallel.engine import ExecutionEngine, resolve_worker_count
+from repro.parallel.engine import resolve_worker_count
 from repro.parallel.methods import MethodSpec
 from repro.parallel.fingerprint import fingerprints_digest
 from repro.parallel.pool import WarmPool, shared_pool
-from repro.parallel.tasks import (
-    TrialTask,
-    execute_trial_chunk,
-    execute_trials,
-    prime_workload_cache,
-)
+from repro.parallel.tasks import TrialTask, execute_trials
 from repro.sampling.rng import SeedLike, spawn_seed_descriptors
 from repro.workloads.metrics import EstimateDistribution, summarize_estimates
 from repro.workloads.queries import Workload, WorkloadSpec
-
-#: Valid values of :attr:`ParallelTrialRunner.dispatch`.
-DISPATCH_MODES = ("warm", "cold")
 
 
 @dataclass
@@ -69,10 +48,7 @@ class ParallelTrialRunner:
             Its dataset pages and bulk label cache are shared with the
             workers through shared memory, so the expensive predicate scan
             runs once per experiment instead of once per worker.
-        dispatch: ``"warm"`` (persistent shared-page pool, the default) or
-            ``"cold"`` (legacy per-run executor).  Results are identical;
-            only wall-clock differs.
-        start_method: multiprocessing start method for warm dispatch
+        start_method: multiprocessing start method for the pool
             (``None`` = ``fork`` where available, else ``spawn``).
         pool: an externally managed :class:`~repro.parallel.pool.WarmPool`
             to dispatch on, instead of the process-wide shared pool.  The
@@ -85,7 +61,6 @@ class ParallelTrialRunner:
     workers: int | None = 1
     chunk_size: int | None = None
     workload: Workload | None = None
-    dispatch: str = "warm"
     start_method: str | None = None
     pool: WarmPool | None = None
     estimates: dict[str, list[CountEstimate]] = field(default_factory=dict)
@@ -93,13 +68,6 @@ class ParallelTrialRunner:
     def __post_init__(self) -> None:
         if self.workload is not None and self.workload.spec not in (None, self.workload_spec):
             raise ValueError("prebuilt workload does not match workload_spec")
-        # Validate through the shared spec-string grammar so a bad dispatch
-        # mode fails with the same message shape as a bad backend or method
-        # spec (lazy import: experiments.config is outside the parallel
-        # package's import closure).
-        from repro.experiments.config import SpecString
-
-        SpecString.parse("dispatch", self.dispatch, DISPATCH_MODES)
 
     def _materialised_workload(self) -> Workload:
         if self.workload is None:
@@ -120,62 +88,25 @@ class ParallelTrialRunner:
         workload = self._materialised_workload()
         tasks = self._tasks(budget)
         if workers <= 1:
-            # Zero pool overhead; also prime the per-process cache so any
-            # nested cold-path helper resolves to this exact workload.
-            prime_workload_cache(self.workload_spec, workload)
             with obs.span(
                 "parallel.serial", method=method_spec.method, tasks=len(tasks)
             ):
                 return execute_trials(
                     workload, method_spec, tuple(tasks), result_mode=result_mode
                 )
-        if self.dispatch == "warm":
-            pool = self.pool
-            if pool is None:
-                pool = shared_pool(workload, workers, self.start_method)
-            with obs.span(
-                "parallel.warm",
-                method=method_spec.method,
-                tasks=len(tasks),
-                workers=workers,
-            ):
-                results = pool.run(
-                    method_spec, tasks, result_mode=result_mode, chunk_size=self.chunk_size
-                )
-        else:
-            with obs.span(
-                "parallel.cold",
-                method=method_spec.method,
-                tasks=len(tasks),
-                workers=workers,
-            ):
-                results = self._run_cold(method_spec, tasks, workers, result_mode)
+        pool = self.pool
+        if pool is None:
+            pool = shared_pool(workload, workers, self.start_method)
+        with obs.span(
+            "parallel.warm",
+            method=method_spec.method,
+            tasks=len(tasks),
+            workers=workers,
+        ):
+            results = pool.run(
+                method_spec, tasks, result_mode=result_mode, chunk_size=self.chunk_size
+            )
         return sorted(results, key=lambda result: result.trial_index)
-
-    def _run_cold(
-        self, method_spec: MethodSpec, tasks: list[TrialTask], workers: int, result_mode: str
-    ) -> list:
-        """Legacy path: fresh executor per run, per-worker workload rebuild."""
-        workload = self._materialised_workload()
-        engine = ExecutionEngine(workers=workers, chunk_size=self.chunk_size)
-        shared_labels = None
-        if workload.query.cache_labels:
-            # Share the bulk label cache: computed once here, inherited by
-            # fork workers via the primed cache, and shipped alongside each
-            # chunk only when workers cannot inherit it (spawn), to avoid
-            # re-pickling the array per chunk for nothing.
-            labels = workload.query.export_label_cache(compute=True)
-            if not engine.workers_inherit_parent_state():
-                shared_labels = labels
-        prime_workload_cache(self.workload_spec, workload)
-        chunk_function = functools.partial(
-            _cold_chunk,
-            self.workload_spec,
-            method_spec,
-            shared_labels,
-            result_mode,
-        )
-        return engine.map_chunks(chunk_function, tasks)
 
     def run(self, method_name: str, method_spec: MethodSpec, budget: int) -> EstimateDistribution:
         """Run ``num_trials`` independent trials of one estimator.
@@ -214,23 +145,6 @@ class ParallelTrialRunner:
         )
 
 
-def _cold_chunk(
-    workload_spec: WorkloadSpec,
-    method_spec: MethodSpec,
-    shared_labels,
-    result_mode: str,
-    tasks: tuple[TrialTask, ...],
-) -> list:
-    """Cold worker chunk function (module-level, picklable by reference)."""
-    if result_mode == "estimates":
-        return execute_trial_chunk(workload_spec, method_spec, tasks, shared_labels=shared_labels)
-    from repro.parallel.tasks import _workload_for
-
-    return execute_trials(
-        _workload_for(workload_spec, shared_labels), method_spec, tasks, result_mode=result_mode
-    )
-
-
 def run_trials_parallel(
     workload: Workload,
     method_name: str,
@@ -240,7 +154,6 @@ def run_trials_parallel(
     seed: SeedLike = 0,
     workers: int | None = 1,
     chunk_size: int | None = None,
-    dispatch: str = "warm",
     start_method: str | None = None,
 ) -> EstimateDistribution:
     """Convenience wrapper: parallel trials over an already-built workload."""
@@ -256,7 +169,6 @@ def run_trials_parallel(
         workers=workers,
         chunk_size=chunk_size,
         workload=workload,
-        dispatch=dispatch,
         start_method=start_method,
     )
     return runner.run(method_name, method_spec, budget)

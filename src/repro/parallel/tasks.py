@@ -1,13 +1,11 @@
 """Trial task descriptors and the worker-side execution functions.
 
-A trial is described by plain data — which workload to rebuild
-(:class:`~repro.workloads.queries.WorkloadSpec`), which estimator
-configuration to run (:class:`~repro.parallel.methods.MethodSpec`), the
-budget, and a :class:`~repro.sampling.rng.SeedDescriptor` naming the trial's
-child stream.  Workers rebuild the workload once per process (cached by
-spec), optionally adopting a label cache shipped from the parent so the bulk
-predicate scan runs exactly once per experiment, then execute their chunk of
-trials and return compact :class:`TrialResult` records for the reduce step.
+A trial is described by plain data — which estimator configuration to run
+(:class:`~repro.parallel.methods.MethodSpec`), the budget, and a
+:class:`~repro.sampling.rng.SeedDescriptor` naming the trial's child
+stream.  Serial runs and warm-pool workers execute chunks of such tasks
+against an already-resolved workload through :func:`execute_trials` and
+return compact :class:`TrialResult` records for the reduce step.
 """
 
 from __future__ import annotations
@@ -18,57 +16,17 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from repro import obs
 from repro.core.estimate import CountEstimate
 from repro.parallel.fingerprint import estimate_digest
 from repro.parallel.methods import MethodSpec
 from repro.sampling.intervals import ConfidenceInterval
 from repro.sampling.rng import SeedDescriptor
-from repro.workloads.queries import Workload, WorkloadSpec
-
-#: Per-process cache of built workloads, keyed by spec.  With a forking
-#: start method the parent can prime this before the pool is created and
-#: every worker inherits the fully-built workload (label cache included)
-#: for free; with spawn, each worker builds on first use.  Bounded so a
-#: long-lived parent sweeping many (dataset, level, scale) cells does not
-#: pin every table + label cache for its whole lifetime.
-_WORKLOAD_CACHE: dict[WorkloadSpec, Workload] = {}
-_WORKLOAD_CACHE_LIMIT = 8
-
-
-def _evict_oldest() -> None:
-    while len(_WORKLOAD_CACHE) > _WORKLOAD_CACHE_LIMIT:
-        _WORKLOAD_CACHE.pop(next(iter(_WORKLOAD_CACHE)))
-
-
-def prime_workload_cache(spec: WorkloadSpec, workload: Workload) -> None:
-    """Pre-populate the per-process workload cache (parent side).
-
-    Called before the pool is created so fork-based workers inherit the
-    already-built workload instead of rebuilding it.
-    """
-    # Re-insert so the primed spec is the freshest entry (plain assignment
-    # keeps an existing key's stale position in insertion order).
-    _WORKLOAD_CACHE.pop(spec, None)
-    _WORKLOAD_CACHE[spec] = workload
-    _evict_oldest()
+from repro.workloads.queries import Workload
 
 
 def clear_workload_cache() -> None:
-    """Drop all cached workloads (tests and long-lived processes)."""
-    _WORKLOAD_CACHE.clear()
-
-
-def _workload_for(spec: WorkloadSpec, shared_labels: np.ndarray | None) -> Workload:
-    workload = _WORKLOAD_CACHE.get(spec)
-    if workload is None:
-        workload = spec.build()
-        workload.query.attach_label_cache(shared_labels)
-        _WORKLOAD_CACHE[spec] = workload
-        _evict_oldest()
-    return workload
+    """No-op (nothing caches workloads any more); ``perfbench/run.py`` teardown imports it."""
 
 
 @dataclass(frozen=True)
@@ -232,9 +190,8 @@ def execute_trials(
 ) -> list[TrialResult] | list[TrialFingerprint]:
     """Run a chunk of trials against an already-resolved workload.
 
-    The single execution path shared by the serial shortcut, the cold
-    (per-run executor) engine and the warm pool — which is what keeps their
-    results byte-identical.  Trials within the chunk run in task order; each
+    The single execution path shared by the serial shortcut and the warm
+    pool — which is what keeps their results byte-identical.  Trials within the chunk run in task order; each
     draws only from its own child stream, so chunking never affects results.
 
     ``result_mode`` selects what crosses the process boundary:
@@ -258,19 +215,3 @@ def execute_trials(
         for task in tasks
     ]
 
-
-def execute_trial_chunk(
-    workload_spec: WorkloadSpec,
-    method_spec: MethodSpec,
-    tasks: tuple[TrialTask, ...],
-    shared_labels: np.ndarray | None = None,
-) -> list[TrialResult]:
-    """Cold worker entry point: resolve the workload, then run the chunk.
-
-    Module-level (hence picklable by reference) and pure apart from the
-    per-process workload cache.  Retained for the legacy per-run executor
-    path; the warm pool resolves its workload once at worker start instead
-    (:mod:`repro.parallel.pool`) and goes straight to :func:`execute_trials`.
-    """
-    workload = _workload_for(workload_spec, shared_labels)
-    return execute_trials(workload, method_spec, tasks)

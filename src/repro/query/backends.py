@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import sqlite3
 import time
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator, Protocol, Sequence, runtime_checkable
@@ -432,10 +431,10 @@ class SqliteBackend(QueryBackend):
     cut points, oracle-call counts and seeded estimates are byte-identical
     across all three levels — the parity CLI/CI gate runs the full grid.
 
-    Build instances through ``make_backend("sqlite:database=...,pushdown=...")``;
-    the spec string is the canonical surface (it travels through workload
-    fingerprints).  Passing ``table_name=``/``database=``/``pushdown=``
-    directly to the constructor still works but is deprecated.
+    ``make_backend("sqlite:database=...,pushdown=...")`` builds the same
+    backend from a spec string — the form that travels through workload
+    fingerprints; a backend built from keywords reports that same
+    canonical ``spec``.
     """
 
     spec = "sqlite"
@@ -449,42 +448,9 @@ class SqliteBackend(QueryBackend):
         self,
         table: Table,
         predicate: Predicate,
-        table_name: str | None = None,
-        database: str = ":memory:",
-        pushdown: str = DEFAULT_PUSHDOWN,
-    ) -> None:
-        if table_name is not None or database != ":memory:" or pushdown != DEFAULT_PUSHDOWN:
-            warnings.warn(
-                "passing table_name=/database=/pushdown= to SqliteBackend() is "
-                "deprecated; build backends from a spec string instead, e.g. "
-                "make_backend('sqlite:database=/path,pushdown=full', table, predicate)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self._setup(table, predicate, table_name=table_name, database=database, pushdown=pushdown)
-
-    @classmethod
-    def _from_spec(
-        cls,
-        table: Table,
-        predicate: Predicate,
         *,
         database: str = ":memory:",
         pushdown: str = DEFAULT_PUSHDOWN,
-    ) -> "SqliteBackend":
-        """Constructor used by :func:`make_backend` (no deprecation warning)."""
-        self = cls.__new__(cls)
-        self._setup(table, predicate, table_name=None, database=database, pushdown=pushdown)
-        return self
-
-    def _setup(
-        self,
-        table: Table,
-        predicate: Predicate,
-        *,
-        table_name: str | None,
-        database: str,
-        pushdown: str,
     ) -> None:
         super().__init__(table, predicate)
         if pushdown not in PUSHDOWN_LEVELS:
@@ -500,7 +466,7 @@ class SqliteBackend(QueryBackend):
         if options:
             rendered = ",".join(f"{key}={value}" for key, value in options)
             self.spec = f"sqlite:{rendered}"
-        self.table_name = table_name or table.name or "objects"
+        self.table_name = table.name or "objects"
         # ``check_same_thread=False``: the estimate server evaluates requests
         # on executor threads while a per-workload lock serialises access to
         # any one backend; combined with the WAL/busy_timeout pragmas from
@@ -754,7 +720,7 @@ def make_backend(
         return NumpyBackend(table, predicate)
     parsed = _parse_backend_spec(canonical)
     if parsed.name == "sqlite":
-        return SqliteBackend._from_spec(
+        return SqliteBackend(
             table,
             predicate,
             database=parsed.option("database", ":memory:"),

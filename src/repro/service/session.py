@@ -28,15 +28,15 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.core.estimate import CountEstimate
-from repro.core.pipeline import LearnToSampleResult
 from repro.core.scores import LearnedScoresSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.fingerprint import estimate_fingerprint, estimates_fingerprint
-from repro.parallel.methods import MethodSpec
+from repro.parallel.methods import METHODS, MethodSpec
 from repro.parallel.runner import ParallelTrialRunner
 from repro.parallel.tasks import TrialTask, execute_trials
 from repro.query.counting import CountingQuery
 from repro.sampling.rng import SeedLike, spawn_seed_descriptors
+from repro.sampling.stratified import attribute_grid_strata
 from repro.service.sweep import (
     ScoredMethodSpec,
     default_design_cache,
@@ -163,6 +163,42 @@ class SweepResult:
         return combined.hexdigest()
 
 
+@dataclass(frozen=True)
+class LearnToSampleResult:
+    """One :meth:`Session.estimate_query` answer, with evaluation context.
+
+    Attributes:
+        estimate: the estimator's :class:`CountEstimate`.
+        method: the method name that produced it.
+        true_count: exact ground truth for the query (from the bulk predicate
+            path) — available because the experiments always validate against
+            it.
+        budget: the requested predicate-evaluation budget.
+    """
+
+    estimate: CountEstimate
+    method: str
+    true_count: int
+    budget: int
+
+    @property
+    def error(self) -> float:
+        """Signed error of the estimated count."""
+        return self.estimate.count - self.true_count
+
+    @property
+    def relative_error(self) -> float:
+        """Absolute relative error of the estimated count."""
+        return self.estimate.relative_error(self.true_count)
+
+
+def _grid_partition(query: CountingQuery, num_strata: int):
+    """Surrogate-attribute grid strata for the SSP/SSN baselines."""
+    features = query.features()
+    cells = max(int(round(num_strata ** (1.0 / features.shape[1]))), 1)
+    return attribute_grid_strata(features, cells_per_dimension=cells)
+
+
 class ResidentWorkload:
     """One resident table family: shared table, per-level sibling workloads.
 
@@ -258,7 +294,8 @@ class Session:
         workers: process count handed to the parallel runner (``1`` =
             in-process serial execution, the default for a service whose
             concurrency comes from request-level threads).
-        dispatch: parallel dispatch mode when ``workers > 1``.
+        dispatch: parallel dispatch mode; only ``"warm"`` (the warm worker
+            pool) exists, and any other value raises :class:`ValueError`.
         max_resident: bound on simultaneously resident table families;
             least-recently-used families are evicted (scores included) and
             transparently rebuilt on the next request.
@@ -278,10 +315,14 @@ class Session:
         max_resident: int = DEFAULT_MAX_RESIDENT,
         cache_labels: bool = True,
     ) -> None:
+        # Lazy import: experiments.config is outside the service package's
+        # import closure.
+        from repro.experiments.config import SpecString
+
         if max_resident < 1:
             raise ValueError("max_resident must be at least 1")
+        SpecString.parse("dispatch", dispatch, ("warm",))
         self.workers = workers
-        self.dispatch = dispatch
         self.max_resident = max_resident
         self.stats = SessionStats()
         self._residents: "OrderedDict[tuple, ResidentWorkload]" = OrderedDict()
@@ -307,8 +348,6 @@ class Session:
                 backend=source.backend,
             )
         else:
-            from repro.experiments.config import SpecString
-
             parsed = SpecString.parse("dataset", source, DATASET_NAMES)
             self.default_dataset = parsed.name
             self.default_level = level
@@ -441,7 +480,6 @@ class Session:
                 seed=seed,
                 workers=self.workers,
                 workload=workload,
-                dispatch=self.dispatch,
             )
             runner.run(method_spec.method, method_spec, resolved_budget)
             estimates = runner.estimates[method_spec.method]
@@ -611,17 +649,17 @@ class Session:
         backend: str | None = None,
         **estimator_options: Any,
     ) -> LearnToSampleResult:
-        """One-shot estimate over a caller-supplied query (the legacy facade).
+        """One-shot estimate over a caller-supplied query with any method.
 
-        This is the exact dispatch the deprecated
-        :func:`~repro.core.pipeline.learn_to_sample` performed — same
-        estimator construction, same seed consumption — so the shim's
-        results stay byte-identical to every release that shipped it.
-        Nothing becomes resident: the caller owns the query.
+        ``method`` is one of :data:`~repro.parallel.methods.METHODS`;
+        ``num_strata`` sizes the stratified methods, ``backend`` optionally
+        overrides the query's backend (estimates are byte-identical whichever
+        backend runs the predicate) and ``estimator_options`` go to the
+        estimator's constructor.  Nothing becomes resident: the caller owns
+        the query.
         """
         from repro.core.lss import LearnedStratifiedSampling
         from repro.core.lws import LearnedWeightedSampling
-        from repro.core.pipeline import METHODS, _grid_partition
         from repro.quantification.adjusted_count import AdjustedCount
         from repro.quantification.classify_count import ClassifyAndCount
         from repro.sampling.srs import SimpleRandomSampling

@@ -133,7 +133,7 @@ class LearnedScoresCache:
 
 
 #: The cache :class:`ScoredMethodSpec` trial functions resolve through — one
-#: per process, exactly like the parallel layer's workload cache.
+#: per process.
 default_scores_cache = LearnedScoresCache()
 
 

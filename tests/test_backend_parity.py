@@ -332,8 +332,8 @@ class TestWorkloadAndMethodSpecs:
         assert workload.spec.backend == "chunked:7"
 
     def test_workload_spec_canonicalises_backend(self):
-        # Equal tasks must be equal (and hash-equal) specs: the per-process
-        # workload cache and the task fingerprint both key on the spec.
+        # Equal tasks must be equal (and hash-equal) specs: shared pools,
+        # score caches and the task fingerprint all key on the spec.
         short = WorkloadSpec(dataset="neighbors", num_rows=120, backend="chunked")
         long = WorkloadSpec(dataset="neighbors", num_rows=120, backend="chunked:4096")
         assert short == long
@@ -474,15 +474,21 @@ class TestSqliteConstructorShim:
             backend = SqliteBackend(small_points_table, predicate)
         backend.close()
 
-    def test_keyword_surface_warns_but_works(self, small_points_table):
+    def test_keyword_backend_matches_spec_twin(self, small_points_table):
         predicate = SkybandPredicate("x", "y", k=3)
-        with pytest.warns(DeprecationWarning, match="make_backend"):
-            shimmed = SqliteBackend(small_points_table, predicate, pushdown="off")
-        assert shimmed.pushdown == "off"
-        assert shimmed.capabilities() == (CAP_EVALUATE,)
-        via_spec = make_backend("sqlite:pushdown=off", small_points_table, predicate)
         indices = np.arange(small_points_table.num_rows)
-        assert shimmed.evaluate(indices).tobytes() == via_spec.evaluate(indices).tobytes()
+        for spec, options in (
+            ("sqlite:pushdown=off", {"pushdown": "off"}),
+            ("sqlite:pushdown=full", {"pushdown": "full"}),
+        ):
+            keyword = SqliteBackend(small_points_table, predicate, **options)
+            via_spec = make_backend(spec, small_points_table, predicate)
+            assert keyword.spec == via_spec.spec == spec
+            assert keyword.capabilities() == via_spec.capabilities()
+            assert keyword.evaluate(indices).tobytes() == via_spec.evaluate(indices).tobytes()
+            assert keyword.evaluate_all().tobytes() == via_spec.evaluate_all().tobytes()
+            keyword.close()
+            via_spec.close()
 
     def test_make_backend_never_warns(self, small_points_table):
         import warnings

@@ -8,7 +8,7 @@ from repro.core.learning_phase import run_learning_phase
 from repro.core.lss import LearnedStratifiedSampling, LSSPhaseTimings
 from repro.core.lws import LearnedWeightedSampling
 import repro
-from repro.core.pipeline import METHODS
+from repro.parallel.methods import METHODS
 from repro.learning.dummy import RandomScoreClassifier
 from repro.sampling.rng import spawn_seeds
 

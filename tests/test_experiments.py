@@ -115,11 +115,16 @@ class TestAblation:
         assert {"brute-force", "dirsol", "logbdr", "dynpgm", "dynpgm-prop"} <= algorithms
 
     def test_exact_algorithms_close_to_optimum(self):
-        rows = run_optimizer_ablation(population_size=150, pilot_size=18, second_stage_samples=24)
+        # Large enough that the fixed-width layout is measurably worse than
+        # the optimum (at 150 objects every layout ties), so the bound below
+        # fails if an optimizer degrades to fixed-width's cuts.
+        rows = run_optimizer_ablation(population_size=200, pilot_size=24, second_stage_samples=30)
         by_name = {row["algorithm"]: row for row in rows}
-        assert by_name["dirsol"]["vs_optimum"] <= 1.3
-        assert by_name["dynpgm"]["vs_optimum"] <= 4.0
-        assert by_name["logbdr"]["vs_optimum"] <= 4.0
+        assert by_name["brute-force"]["gap_to_optimum"] == 0.0
+        baseline_gap = by_name["fixed-width"]["gap_to_optimum"]
+        assert baseline_gap > 0.0
+        for name in ("dirsol", "dynpgm", "logbdr"):
+            assert 0.0 <= by_name[name]["gap_to_optimum"] <= 0.1 * baseline_gap
 
 
 class TestReport:

@@ -1,23 +1,14 @@
-"""Unit tests for the deterministic fan-out executor."""
+"""Unit tests for worker-count resolution and the ordered process-pool map."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.parallel.engine import (
-    ExecutionEngine,
-    available_workers,
-    chunk_items,
-    resolve_worker_count,
-)
+from repro.parallel.engine import available_workers, ordered_map, resolve_worker_count
 
 
 def _square(value: int) -> int:
     return value * value
-
-
-def _sum_chunk(chunk: tuple[int, ...]) -> list[int]:
-    return [item + 1 for item in chunk]
 
 
 def _explode(value: int) -> int:
@@ -41,52 +32,22 @@ class TestWorkerResolution:
         assert available_workers() >= 1
 
 
-class TestChunking:
-    def test_chunks_cover_items_in_order(self):
-        items = list(range(23))
-        chunks = chunk_items(items, workers=4)
-        flattened = [item for chunk in chunks for item in chunk]
-        assert flattened == items
-        assert all(chunks)  # no empty chunks
-
-    def test_explicit_chunk_size(self):
-        chunks = chunk_items(list(range(10)), workers=4, chunk_size=3)
-        assert [len(chunk) for chunk in chunks] == [3, 3, 3, 1]
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            chunk_items([1, 2, 3], workers=2, chunk_size=0)
-
-    def test_adaptive_sizing_scales_with_workers(self):
-        # More workers -> more, smaller chunks (down to one item each).
-        few = chunk_items(list(range(64)), workers=2)
-        many = chunk_items(list(range(64)), workers=16)
-        assert len(many) > len(few)
-
-
 class TestEngineMap:
     def test_serial_path(self):
-        engine = ExecutionEngine(workers=1)
-        assert engine.map(_square, range(6)) == [0, 1, 4, 9, 16, 25]
+        # A lambda cannot be pickled, so this only passes if no pool is used.
+        assert ordered_map(lambda value: value * value, range(6), workers=1) == [
+            0, 1, 4, 9, 16, 25,
+        ]
 
     def test_parallel_preserves_order(self):
-        engine = ExecutionEngine(workers=2)
-        assert engine.map(_square, range(11)) == [v * v for v in range(11)]
+        assert ordered_map(_square, range(11), workers=2) == [v * v for v in range(11)]
 
     def test_more_workers_than_items(self):
-        engine = ExecutionEngine(workers=8)
-        assert engine.map(_square, [3, 4]) == [9, 16]
+        assert ordered_map(_square, [3, 4], workers=8) == [9, 16]
 
     def test_empty_items(self):
-        assert ExecutionEngine(workers=4).map(_square, []) == []
+        assert ordered_map(_square, [], workers=4) == []
 
     def test_errors_propagate(self):
-        engine = ExecutionEngine(workers=2)
         with pytest.raises(RuntimeError, match="boom"):
-            engine.map(_explode, range(4))
-
-    def test_map_chunks_serial_and_parallel_agree(self):
-        items = list(range(17))
-        serial = ExecutionEngine(workers=1).map_chunks(_sum_chunk, items)
-        parallel = ExecutionEngine(workers=3).map_chunks(_sum_chunk, items)
-        assert serial == parallel == [item + 1 for item in items]
+            ordered_map(_explode, range(4), workers=2)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.scores import LearnedScoresSpec, learn_scores
-from repro.parallel.fingerprint import estimate_fingerprint, estimates_fingerprint
+from repro.parallel.fingerprint import estimates_fingerprint
 from repro.parallel.tasks import TrialTask, execute_trials
 from repro.sampling.rng import spawn_seed_descriptors
 from repro.service import Session, default_scores_cache
@@ -230,19 +230,6 @@ class TestSessionResidency:
 
 
 class TestDeprecatedShim:
-    def test_learn_to_sample_warns_and_matches_direct_estimator(self, anchor_spec):
-        from repro.core.lss import LearnedStratifiedSampling
-        from repro.core.pipeline import learn_to_sample
-
-        workload = anchor_spec.build()
-        with pytest.warns(DeprecationWarning):
-            shimmed = learn_to_sample(workload.query, 50, method="lss", seed=9)
-        direct = LearnedStratifiedSampling(num_strata=4).estimate(
-            anchor_spec.build().query, 50, seed=9
-        )
-        assert estimate_fingerprint(shimmed.estimate) == estimate_fingerprint(direct)
-        assert shimmed.true_count == workload.query.true_count()
-
     def test_session_factory_exported_from_package_root(self):
         import repro
 

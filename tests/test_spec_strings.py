@@ -12,8 +12,8 @@ import pytest
 
 from repro.experiments.config import SpecString, parse_method_spec
 from repro.parallel.methods import MethodSpec
-from repro.parallel.runner import ParallelTrialRunner
 from repro.query.backends import canonical_backend_spec
+from repro.service.session import Session
 from repro.workloads.queries import WorkloadSpec
 
 
@@ -65,11 +65,12 @@ class TestGrammarConsumers:
         assert spec.backend == "chunked:4096"
 
     def test_dispatch_uses_grammar(self):
-        with pytest.raises(ValueError, match="unknown dispatch"):
-            ParallelTrialRunner(
-                workload_spec=WorkloadSpec(dataset="neighbors", num_rows=64),
-                dispatch="lukewarm",
-            )
+        # ``warm`` is the only dispatch mode; the removed ``cold`` mode is
+        # rejected like any other unknown name.
+        for mode in ("lukewarm", "cold"):
+            with pytest.raises(ValueError, match="unknown dispatch"):
+                Session(dispatch=mode)
+        Session(workers=2, dispatch="warm").close()
 
     def test_method_spec_string(self):
         spec = parse_method_spec("lss:logbdr", num_strata=3)

@@ -115,19 +115,6 @@ class TestWarmPoolDeterminism:
         assert digest == serial_fingerprints["lss"]
         assert runner.estimates == {}  # nothing stored on the verification path
 
-    def test_cold_dispatch_matches_warm(self, sports_workload, serial_fingerprints):
-        budget = sports_workload.sample_size(0.05)
-        runner = ParallelTrialRunner(
-            workload_spec=sports_workload.spec,
-            num_trials=NUM_TRIALS,
-            seed=MASTER_SEED,
-            workers=WORKERS,
-            workload=sports_workload,
-            dispatch="cold",
-        )
-        runner.run("srs", MethodSpec("srs"), budget)
-        assert estimates_fingerprint(runner.estimates["srs"]) == serial_fingerprints["srs"]
-
 
 class TestLifecycle:
     def test_repeated_pools_leave_no_stale_segments(self, sports_workload):
