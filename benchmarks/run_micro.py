@@ -54,6 +54,7 @@ DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_micro.json"
 SPEEDUP_TARGETS = {
     "grid_count_within_bulk": 3.0,
     "dirsol_design": 5.0,
+    "dynpgm_design": 12.0,
 }
 
 

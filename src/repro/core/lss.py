@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.estimate import CountEstimate
 from repro.core.learning_phase import run_learning_phase
 from repro.core.stratification import (
+    InfeasibleDesignError,
     PilotSample,
     StratificationDesign,
     dirsol_design,
@@ -198,11 +199,13 @@ class LearnedStratifiedSampling:
         With very small pilot samples (tiny budgets) the optimizer's
         minimum-size constraints can be unsatisfiable; the estimator must
         still return an unbiased estimate, so it falls back to the
-        constraint-free fixed-height layout in that case.
+        constraint-free fixed-height layout in that case (recorded as
+        ``details["design_fallback"]``).  Only :class:`InfeasibleDesignError`
+        is answered this way: any other error of the optimizer propagates.
         """
         try:
             return self._design(pilot, sorted_scores, second_stage_samples)
-        except ValueError:
+        except InfeasibleDesignError:
             return fixed_height_design(
                 pilot, self.num_strata, second_stage_samples, self.allocation
             )
@@ -673,6 +676,8 @@ class LearnedStratifiedSampling:
             "pilot_size": pilot_size,
             "num_strata": design.num_strata,
         }
+        if design.algorithm == "fixed-height" and self.optimizer != "fixed_height":
+            details["design_fallback"] = "fixed_height"
         return CountEstimate(
             count=estimate.count + learning_positives,
             proportion=estimate.proportion,

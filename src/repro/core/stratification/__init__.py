@@ -21,6 +21,7 @@ estimator (Section 4.2 of the paper):
 """
 
 from repro.core.stratification.design import (
+    InfeasibleDesignError,
     PilotSample,
     StratificationDesign,
     general_objective,
@@ -39,6 +40,7 @@ from repro.core.stratification.layouts import (
 from repro.core.stratification.logbdr import logbdr_design
 
 __all__ = [
+    "InfeasibleDesignError",
     "PilotSample",
     "StratificationDesign",
     "brute_force_design",

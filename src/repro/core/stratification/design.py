@@ -16,6 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class InfeasibleDesignError(ValueError):
+    """The optimizer has no design for this pilot.
+
+    Raised when the pilot is too small (or the minimum sizes too large) for
+    any feasible design, and by LogBdr when the pilot needs more candidate
+    designs than its enumeration cap.  It is the one error LSS answers by
+    falling back to the constraint-free fixed-height layout; any other
+    ``ValueError`` from an optimizer is a bug or a bad argument and
+    propagates.
+    """
+
+
 @dataclass
 class PilotSample:
     """A labelled pilot sample positioned within the score ordering.

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.stratification.design import (
+    InfeasibleDesignError,
     PilotSample,
     StratificationDesign,
     bernoulli_variance_estimate,
@@ -87,7 +88,7 @@ def _validate_inputs(
     if second_stage_samples <= 0:
         raise ValueError("second_stage_samples must be positive")
     if pilot.size < 3 * min_pilot_per_stratum:
-        raise ValueError(
+        raise InfeasibleDesignError(
             f"DirSol needs at least {3 * min_pilot_per_stratum} pilot objects, got {pilot.size}"
         )
 
@@ -130,7 +131,7 @@ def dirsol_design(
     first_indices = np.arange(min_pilot_per_stratum - 1, m - 2 * min_pilot_per_stratum)
     third_indices = np.arange(2 * min_pilot_per_stratum, m - min_pilot_per_stratum + 1)
     if first_indices.size == 0 or third_indices.size == 0:
-        raise ValueError(_NO_FEASIBLE_DESIGN)
+        raise InfeasibleDesignError(_NO_FEASIBLE_DESIGN)
 
     counts_first = first_indices + 1
     s1_sq_all = bernoulli_variance_estimate(gamma[counts_first], counts_first)
@@ -240,7 +241,7 @@ def dirsol_design(
             )
 
     if best_cuts is None:
-        raise ValueError(_NO_FEASIBLE_DESIGN)
+        raise InfeasibleDesignError(_NO_FEASIBLE_DESIGN)
     return design_from_cuts(pilot, best_cuts, second_stage_samples, "neyman", algorithm="dirsol")
 
 
@@ -355,5 +356,5 @@ def dirsol_design_reference(
                             best_design = candidate
 
     if best_design is None:
-        raise ValueError(_NO_FEASIBLE_DESIGN)
+        raise InfeasibleDesignError(_NO_FEASIBLE_DESIGN)
     return best_design

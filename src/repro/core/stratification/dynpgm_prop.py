@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.stratification.design import (
+    InfeasibleDesignError,
     PilotSample,
     StratificationDesign,
     bernoulli_variance_estimate,
@@ -115,7 +116,7 @@ def dynpgm_proportional_design(
             chosen_level = level
             break
     if chosen_level is None:
-        raise ValueError(
+        raise InfeasibleDesignError(
             "no feasible stratification satisfies the minimum-size constraints; "
             "reduce num_strata or the minimums"
         )

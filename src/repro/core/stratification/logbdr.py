@@ -17,6 +17,7 @@ from math import comb
 import numpy as np
 
 from repro.core.stratification.design import (
+    InfeasibleDesignError,
     PilotSample,
     StratificationDesign,
     default_minimum_stratum_size,
@@ -85,7 +86,7 @@ def logbdr_design(
 
     partitionings = comb(m, num_strata - 1)
     if partitionings > max_designs:
-        raise ValueError(
+        raise InfeasibleDesignError(
             f"LogBdr would enumerate {partitionings} pilot partitionings (> {max_designs}); "
             "reduce the pilot size, the number of strata, or use DynPgm"
         )
@@ -105,7 +106,7 @@ def logbdr_design(
 
         combination_count = int(np.prod([len(c) for c in per_gap_candidates]))
         if evaluated + combination_count > max_designs:
-            raise ValueError(
+            raise InfeasibleDesignError(
                 f"LogBdr would evaluate more than {max_designs} designs; "
                 "reduce the pilot size, the number of strata, or use DynPgm"
             )
@@ -127,7 +128,7 @@ def logbdr_design(
                 best_design = candidate
 
     if best_design is None:
-        raise ValueError(
+        raise InfeasibleDesignError(
             "no feasible stratification satisfies the minimum-size constraints; "
             "reduce num_strata or the minimums"
         )

@@ -23,6 +23,8 @@ from repro.obs.metrics import (
     BACKEND_ROWS_SCANNED,
     CHUNK_RETRIES,
     DESIGN_CACHE_REQUESTS,
+    DYNPGM_CANDIDATES,
+    DYNPGM_DPS_SOLVED,
     FAULTS_INJECTED,
     HTTP_REQUEST_SECONDS,
     LOCK_RETRIES,
@@ -61,6 +63,8 @@ __all__ = [
     "BACKEND_ROWS_SCANNED",
     "CHUNK_RETRIES",
     "DESIGN_CACHE_REQUESTS",
+    "DYNPGM_CANDIDATES",
+    "DYNPGM_DPS_SOLVED",
     "FAULTS_INJECTED",
     "HTTP_REQUEST_SECONDS",
     "LOCK_RETRIES",
@@ -89,6 +93,7 @@ __all__ = [
     "export",
     "metrics",
     "recent_traces",
+    "record_dynpgm_design",
     "record_oracle_calls",
     "record_rows_scanned",
     "record_stage_query",
@@ -141,4 +146,25 @@ def record_stage_query(backend: str) -> None:
     """
     registry().inc(
         SQL_STAGE_QUERIES, backend=backend, stage=current_span_name() or "unattributed"
+    )
+
+
+def record_dynpgm_design(candidates: int, dps_solved: int) -> None:
+    """One DynPgm design: its candidate-cut count and the DPs it solved.
+
+    ``candidates`` is C, the size of the boundary grid the DP runs over;
+    ``dps_solved`` counts the distinct admitted guesses of the auxiliary-sum
+    grid whose DP was run (guesses admitting no stratum that ends at the
+    final cut need none).  Design time grows like ``dps_solved · C²``.
+    """
+    reg = registry()
+    reg.observe(
+        DYNPGM_CANDIDATES,
+        float(candidates),
+        buckets=(64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0),
+    )
+    reg.observe(
+        DYNPGM_DPS_SOLVED,
+        float(dps_solved),
+        buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
     )

@@ -61,6 +61,8 @@ REQUEST_DEADLINES = "repro_request_deadline_total"
 RETRY_BACKOFF_SECONDS = "repro_client_retry_backoff_seconds"
 LOCK_RETRIES = "repro_lock_retries_total"
 ORACLE_RETRIES = "repro_oracle_retries_total"
+DYNPGM_CANDIDATES = "repro_dynpgm_candidates"
+DYNPGM_DPS_SOLVED = "repro_dynpgm_dps_solved"
 
 
 def _label_key(labels: Mapping[str, object]) -> LabelKey:

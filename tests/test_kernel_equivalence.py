@@ -13,11 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.stratification.design import PilotSample
+from repro.core.stratification.design import InfeasibleDesignError, PilotSample
 from repro.core.stratification.dirsol import dirsol_design, dirsol_design_reference
 from repro.core.stratification.dynpgm import dynpgm_design, dynpgm_design_reference
 from repro.query.predicates import NeighborCountPredicate, SkybandPredicate
 from repro.query.spatial import GridIndex, dominance_count_batch, dominance_count_single
+from repro.sampling.allocation import neyman_allocation
 from repro.query.table import Table
 from repro.sampling.rng import spawn_seeds
 from repro.sampling.stratified import StrataPartition, StratifiedSampling
@@ -185,6 +186,107 @@ class TestDesignOptimizerKernels:
         fast = dynpgm_design(pilot, 3, 40, grid_ratio=0.25)
         reference = dynpgm_design_reference(pilot, 3, 40, grid_ratio=0.25)
         np.testing.assert_array_equal(fast.cuts, reference.cuts)
+
+
+def assert_same_design(fast, reference, second_stage_samples: int) -> None:
+    """Cuts, objective and the Neyman allocation they imply, bit for bit."""
+    np.testing.assert_array_equal(fast.cuts, reference.cuts)
+    for field in ("stratum_sizes", "stratum_variances", "pilot_counts"):
+        assert getattr(fast, field).tobytes() == getattr(reference, field).tobytes()
+    assert np.float64(fast.objective_value).tobytes() == np.float64(
+        reference.objective_value
+    ).tobytes()
+    assert (fast.allocation, fast.algorithm) == (reference.allocation, reference.algorithm)
+    counts = [
+        neyman_allocation(
+            design.stratum_sizes, np.sqrt(design.stratum_variances), second_stage_samples
+        ).counts
+        for design in (fast, reference)
+    ]
+    np.testing.assert_array_equal(*counts)
+
+
+def pure_pilot(label: float, population=2_500, pilot_size=45) -> PilotSample:
+    rng = child_rngs(12)[8]
+    positions = np.sort(rng.choice(population, size=pilot_size, replace=False))
+    return PilotSample(positions, np.full(pilot_size, label), population)
+
+
+class TestDynPgmEquivalenceGrid:
+    """The blocked DynPgm kernel against the full-square reference DP."""
+
+    @pytest.mark.parametrize("num_strata", [1, 2, 9, 25])
+    @pytest.mark.parametrize("child", range(2))
+    def test_strata_counts(self, num_strata, child):
+        pilot = random_pilot(child_rngs(12)[child])
+        fast = dynpgm_design(pilot, num_strata, 60)
+        assert_same_design(fast, dynpgm_design_reference(pilot, num_strata, 60), 60)
+
+    @pytest.mark.parametrize("num_strata", [3, 4, 9])
+    def test_min_pilot_per_stratum_of_lss(self, num_strata):
+        # LSS passes m_⊔ = 5 (its default), the sweep-lss benchmark setting.
+        pilot = random_pilot(child_rngs(12)[2], population=6_000, pilot_size=90)
+        options = {"min_pilot_per_stratum": 5}
+        fast = dynpgm_design(pilot, num_strata, 200, **options)
+        reference = dynpgm_design_reference(pilot, num_strata, 200, **options)
+        assert_same_design(fast, reference, 200)
+
+    @pytest.mark.slow
+    def test_sweep_lss_shaped_pilot(self):
+        # N = 11,800 ordered objects, m = 180 pilot labels, n = 420: about
+        # 2,100 candidate cuts, the size of a warm sweep-lss design.
+        pilot = random_pilot(child_rngs(12)[3], population=11_800, pilot_size=180)
+        options = {"min_pilot_per_stratum": 5}
+        fast = dynpgm_design(pilot, 4, 420, **options)
+        reference = dynpgm_design_reference(pilot, 4, 420, **options)
+        assert_same_design(fast, reference, 420)
+
+    @pytest.mark.parametrize("label", [0.0, 1.0], ids=["all-negative", "all-positive"])
+    @pytest.mark.parametrize("num_strata", [4, 9])
+    def test_pure_pilots(self, label, num_strata):
+        # Every variance is zero: all objectives tie and argmin order decides.
+        pilot = pure_pilot(label)
+        fast = dynpgm_design(pilot, num_strata, 60)
+        assert_same_design(fast, dynpgm_design_reference(pilot, num_strata, 60), 60)
+
+    def test_unreachable_final_cut_returns_fewer_strata(self):
+        # Strata of at least 300 objects: at most 8 fit in 2,500.
+        pilot = random_pilot(child_rngs(12)[4])
+        options = {"min_stratum_size": 300}
+        fast = dynpgm_design(pilot, 9, 60, **options)
+        reference = dynpgm_design_reference(pilot, 9, 60, **options)
+        assert fast.num_strata < 9
+        assert_same_design(fast, reference, 60)
+
+    @pytest.mark.parametrize("num_strata", [4, 9])
+    def test_small_max_candidates(self, num_strata):
+        pilot = random_pilot(child_rngs(12)[5])
+        options = {"max_candidates": 60, "grid_ratio": 0.25}
+        fast = dynpgm_design(pilot, num_strata, 60, **options)
+        reference = dynpgm_design_reference(pilot, num_strata, 60, **options)
+        assert_same_design(fast, reference, 60)
+
+    def test_weight_equal_to_a_guess_is_admitted(self):
+        # [0, 64) and [64, 128) each hold 4 pilot objects with 1 positive:
+        # s = 1/2, so N_h s_h = 32 sits exactly on the guess grid (2^5).
+        positions = np.array([17, 37, 52, 55, 70, 90, 95, 125])
+        labels = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        pilot = PilotSample(positions, labels, 128)
+        options = {"min_stratum_size": 1, "min_pilot_per_stratum": 4}
+        fast = dynpgm_design(pilot, 2, 8, **options)
+        reference = dynpgm_design_reference(pilot, 2, 8, **options)
+        np.testing.assert_array_equal(reference.cuts, [0, 64, 128])
+        assert_same_design(fast, reference, 8)
+
+    @pytest.mark.parametrize(
+        "options", [{"min_stratum_size": 2_501}, {"min_pilot_per_stratum": 46}]
+    )
+    def test_infeasible_input_raises_in_both(self, options):
+        pilot = random_pilot(child_rngs(12)[6])
+        with pytest.raises(InfeasibleDesignError):
+            dynpgm_design(pilot, 4, 60, **options)
+        with pytest.raises(InfeasibleDesignError):
+            dynpgm_design_reference(pilot, 4, 60, **options)
 
 
 class TestStratifiedEstimatorKernel:

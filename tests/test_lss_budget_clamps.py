@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.lss as lss_module
 from repro.core.lss import LearnedStratifiedSampling
 from repro.workloads.queries import build_workload
 
@@ -67,3 +68,34 @@ class TestTinyBudgets:
             estimate = estimator.estimate(workload.query, 10, seed=np.random.default_rng(4))
             assert workload.query.evaluations == estimate.predicate_evaluations
             assert workload.query.evaluations <= 10
+
+
+class TestDesignFallback:
+    """Only an infeasible design falls back to fixed-height, and visibly."""
+
+    def test_tiny_pilot_takes_the_recorded_fallback(self, workload):
+        # A pilot of 4 objects cannot give even one stratum the 5 pilot
+        # objects (m_⊔) DynPgm requires.
+        estimator = LearnedStratifiedSampling(num_strata=4)
+        estimate = estimator.estimate(workload.query, 10, seed=np.random.default_rng(5))
+        assert estimate.details["pilot_size"] < estimator.min_pilot_per_stratum
+        assert estimate.details["design_fallback"] == "fixed_height"
+        assert estimate.details["design"].algorithm == "fixed-height"
+        assert np.isfinite(estimate.count)
+
+    @pytest.mark.parametrize("optimizer", ["dynpgm", "fixed_height"])
+    def test_no_fallback_recorded_otherwise(self, workload, optimizer):
+        estimator = LearnedStratifiedSampling(num_strata=4, optimizer=optimizer)
+        estimate = estimator.estimate(workload.query, 60, seed=np.random.default_rng(2))
+        assert "design_fallback" not in estimate.details
+        assert estimate.details["design"].algorithm == optimizer.replace("_", "-")
+
+    def test_other_value_errors_propagate(self, workload, monkeypatch):
+        # A kernel bug must surface, not turn into a quiet change of design.
+        def broken_optimizer(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(lss_module, "dynpgm_design", broken_optimizer)
+        estimator = LearnedStratifiedSampling(num_strata=4)
+        with pytest.raises(ValueError, match="broadcast"):
+            estimator.estimate(workload.query, 60, seed=np.random.default_rng(2))

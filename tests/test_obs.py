@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.core.scores import LearnedScoresSpec
+from repro.core.stratification.design import PilotSample, candidate_boundary_cuts
+from repro.core.stratification.dynpgm import _auxiliary_sum_grid, dynpgm_design
 from repro.obs.export import (
     group_stage_totals,
     prometheus_text,
@@ -135,6 +138,57 @@ class TestByteIdentity:
         assert "learning.label" in per_stage
         assert "lss.pilot" in per_stage
         assert "lss.stage2" in per_stage
+
+
+class TestDynPgmMetrics:
+    """Each DynPgm design records its candidate count C and its DPs solved."""
+
+    @staticmethod
+    def _pilot() -> PilotSample:
+        rng = np.random.default_rng(23)
+        positions = np.sort(rng.choice(3_000, size=60, replace=False))
+        labels = (rng.uniform(size=60) < np.linspace(0.05, 0.9, 60)).astype(float)
+        return PilotSample(positions, labels, 3_000)
+
+    def test_design_records_candidates_and_dps(self):
+        pilot = self._pilot()
+        obs.set_enabled(True)
+        try:
+            design = dynpgm_design(pilot, 4, 80)
+            registry = obs.registry()
+            candidates = registry.histogram_summary(obs.DYNPGM_CANDIDATES)
+            dps = registry.histogram_summary(obs.DYNPGM_DPS_SOLVED)
+        finally:
+            obs.set_enabled(False)
+        assert design.num_strata == 4
+        assert candidates["count"] == 1
+        assert candidates["sum"] == candidate_boundary_cuts(pilot).size
+        # At least one DP, and at most one per guess of the auxiliary-sum grid.
+        assert dps["count"] == 1
+        assert 1 <= dps["sum"] <= _auxiliary_sum_grid(3_000, 4, 1.0).size
+
+    def test_design_is_byte_identical_with_obs_on_and_off(self):
+        pilot = self._pilot()
+        off = dynpgm_design(pilot, 4, 80)
+        assert obs.registry().as_dict()["histograms"] == {}
+        obs.set_enabled(True)
+        try:
+            on = dynpgm_design(pilot, 4, 80)
+        finally:
+            obs.set_enabled(False)
+        assert on.cuts.tobytes() == off.cuts.tobytes()
+        assert np.float64(on.objective_value).tobytes() == np.float64(off.objective_value).tobytes()
+
+    def test_lss_trials_record_one_design_each(self, workload):
+        budget = workload.sample_size(0.05)
+        obs.set_enabled(True)
+        obs.reset()
+        try:
+            _fingerprint(workload, MethodSpec("lss"), 1, budget)
+            summary = obs.registry().histogram_summary(obs.DYNPGM_CANDIDATES)
+        finally:
+            obs.set_enabled(False)
+        assert summary["count"] == NUM_TRIALS
 
 
 class TestDisabledFastPath:
