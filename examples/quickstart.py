@@ -16,6 +16,8 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
 import repro
+from repro import obs
+from repro.obs.export import group_stage_totals, stage_totals
 from repro.workloads import build_neighbors_workload
 
 
@@ -31,8 +33,14 @@ def main() -> None:
 
     # The session facade is the canonical entry point; adopting the built
     # workload makes it resident, so follow-up estimates reuse the table.
-    with repro.session(workload) as facade:
-        result = facade.estimate_query(query, budget=budget, method="lss", seed=42)
+    # Stage spans and oracle seconds are recorded for this one estimate only.
+    was_enabled = obs.set_enabled(True)
+    obs.reset()
+    try:
+        with repro.session(workload) as facade:
+            result = facade.estimate_query(query, budget=budget, method="lss", seed=42)
+    finally:
+        obs.set_enabled(was_enabled)
     estimate = result.estimate
     low, high = estimate.count_interval
 
@@ -44,13 +52,14 @@ def main() -> None:
     print(f"Predicate calls : {estimate.predicate_evaluations} "
           f"({estimate.predicate_evaluations / query.num_objects:.1%} of the objects)")
 
-    timings = estimate.details["timings"]
+    seconds = group_stage_totals(stage_totals(obs.registry()))["seconds"]
+    predicate = obs.registry().counter_total(obs.ORACLE_SECONDS)
     print()
-    print("LSS overhead breakdown (seconds):")
-    print(f"  learning        {timings.learning_seconds:.4f}")
-    print(f"  sample design   {timings.design_seconds:.4f}")
-    print(f"  phase-2 overhead{timings.sampling_overhead_seconds:9.4f}")
-    print(f"  predicate       {timings.predicate_seconds:.4f}")
+    print("LSS time by stage (seconds, from repro.obs):")
+    print(f"  learning + scoring  {seconds['learning']:.4f}")
+    print(f"  sample design       {seconds['design']:.4f}")
+    print(f"  pilot + stage II    {seconds['sampling']:.4f}")
+    print(f"  predicate (within the stages above) {predicate:.4f}")
 
 
 if __name__ == "__main__":

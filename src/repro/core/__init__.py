@@ -18,13 +18,12 @@ the sampling and learning substrates:
 """
 
 from repro.core.estimate import CountEstimate
-from repro.core.lss import LearnedStratifiedSampling, LSSPhaseTimings
+from repro.core.lss import LearnedStratifiedSampling
 from repro.core.lws import LearnedWeightedSampling
 from repro.core.scores import LearnedScores, LearnedScoresSpec, learn_scores
 
 __all__ = [
     "CountEstimate",
-    "LSSPhaseTimings",
     "LearnedScores",
     "LearnedScoresSpec",
     "LearnedStratifiedSampling",

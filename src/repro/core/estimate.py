@@ -36,8 +36,9 @@ class CountEstimate:
             part.  Two-phase methods know the exact count of the objects they
             labelled during the learning phase; that part carries no
             statistical uncertainty and is reported here.
-        details: free-form per-method diagnostics (stratum boundaries,
-            timings, classifier statistics, ...).
+        details: free-form per-method diagnostics (stratum design and
+            allocation, learning-set size, fallbacks taken, ...).  Phase
+            timings are not kept here: they are :mod:`repro.obs` stage spans.
     """
 
     count: float

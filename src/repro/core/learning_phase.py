@@ -9,7 +9,6 @@ function ``g`` is handed to the sampling phase.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,18 +36,12 @@ class LearningPhaseResult:
         labels: predicate outcomes for ``labelled_indices``.
         remaining_indices: the objects left for the sampling phase
             (``O \\ S_L``).
-        training_seconds: wall-clock time spent training (and re-training)
-            the classifier, excluding predicate evaluation.
-        predicate_seconds: wall-clock time spent inside the predicate during
-            the learning phase.
     """
 
     classifier: Classifier
     labelled_indices: np.ndarray
     labels: np.ndarray
     remaining_indices: np.ndarray
-    training_seconds: float
-    predicate_seconds: float
 
     @property
     def labelled_count(self) -> int:
@@ -99,7 +92,6 @@ def run_learning_phase(
         augmentation_budget = 0
     initial_budget = labelling_budget - augmentation_budget
 
-    predicate_seconds_before = query.evaluation_seconds
     # Inner spans are trace-only (obs.span, not obs.stage): their time is
     # already accounted to the enclosing estimator-level stage.
     with obs.span("learning.label"):
@@ -107,11 +99,9 @@ def run_learning_phase(
         initial_labels = query.evaluate(initial_indices)
 
     features = query.features()
-    training_started = time.perf_counter()
     with obs.span("learning.train"):
         fitted = model.clone() if model.is_fitted else model
         fitted.fit(features[initial_indices], initial_labels)
-    training_seconds = time.perf_counter() - training_started
 
     labelled_indices = initial_indices
     labels = initial_labels
@@ -128,20 +118,14 @@ def run_learning_phase(
             rounds=active_learning_rounds,
             seed=rng,
         )
-        # Re-training time is part of the learning overhead but not of the
-        # predicate cost; subtract the predicate time spent labelling the
-        # augmentation batches below.
         fitted = result.classifier
         labelled_indices = result.labelled_indices
         labels = result.labels
 
-    predicate_seconds = query.evaluation_seconds - predicate_seconds_before
     remaining = np.setdiff1d(objects, labelled_indices, assume_unique=False)
     return LearningPhaseResult(
         classifier=fitted,
         labelled_indices=labelled_indices,
         labels=labels,
         remaining_indices=remaining,
-        training_seconds=training_seconds,
-        predicate_seconds=predicate_seconds,
     )

@@ -12,12 +12,11 @@ never to a biased estimator.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro import obs
 from repro.core.estimate import CountEstimate
 from repro.core.learning_phase import run_learning_phase
 from repro.core.stratification import (
@@ -33,7 +32,6 @@ from repro.core.stratification import (
     smoothed_bernoulli_std,
 )
 from repro.learning.base import Classifier
-from repro.obs import trace as obs
 from repro.query.counting import CountingQuery
 from repro.sampling.rng import SeedLike, resolve_rng, sample_without_replacement
 from repro.sampling.srs import SimpleRandomSampling
@@ -44,40 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 #: Optimizers selectable through the ``optimizer`` constructor argument.
 OPTIMIZERS = ("dynpgm", "dynpgm_prop", "logbdr", "dirsol", "fixed_width", "fixed_height")
-
-
-@dataclass(frozen=True)
-class LSSPhaseTimings:
-    """Wall-clock breakdown of one LSS estimate (the paper's Figure 3).
-
-    Attributes:
-        learning_seconds: classifier training time (phase-1 learning
-            overhead, excluding predicate evaluation).
-        design_seconds: pilot bookkeeping plus stratification/allocation
-            optimisation (phase-1 sample-design overhead).
-        sampling_overhead_seconds: scoring, ordering and sampling machinery
-            in phase 2 (excluding predicate evaluation).
-        predicate_seconds: total time spent inside the expensive predicate.
-        total_seconds: end-to-end wall-clock time of the estimate.
-    """
-
-    learning_seconds: float
-    design_seconds: float
-    sampling_overhead_seconds: float
-    predicate_seconds: float
-    total_seconds: float
-
-    @property
-    def overhead_seconds(self) -> float:
-        """Total LSS-specific overhead (everything except the predicate)."""
-        return self.learning_seconds + self.design_seconds + self.sampling_overhead_seconds
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Overhead as a fraction of total wall-clock time."""
-        if self.total_seconds <= 0:
-            return 0.0
-        return self.overhead_seconds / self.total_seconds
 
 
 class LearnedStratifiedSampling:
@@ -95,7 +59,12 @@ class LearnedStratifiedSampling:
             allocation.
         optimizer: stratification optimizer — one of ``"dynpgm"`` (default),
             ``"dynpgm_prop"``, ``"logbdr"``, ``"dirsol"``, ``"fixed_width"``
-            or ``"fixed_height"``.
+            or ``"fixed_height"``.  LogBdr refuses to evaluate more than
+            500,000 designs, which at H = 4 any pilot beyond a few dozen
+            objects exceeds (on neighbors-S with 3,000 rows a pilot of 27
+            gets a LogBdr design, one of 68 does not); the estimate then
+            uses the fixed-height fallback, recorded as
+            ``details["design_fallback"]``.
         min_pilot_per_stratum: minimum pilot objects per stratum (``m_⊔``,
             around 5 in the paper).
         min_stratum_size: minimum objects per stratum (``N_⊔``); a practical
@@ -200,12 +169,16 @@ class LearnedStratifiedSampling:
         minimum-size constraints can be unsatisfiable; the estimator must
         still return an unbiased estimate, so it falls back to the
         constraint-free fixed-height layout in that case (recorded as
-        ``details["design_fallback"]``).  Only :class:`InfeasibleDesignError`
-        is answered this way: any other error of the optimizer propagates.
+        ``details["design_fallback"]`` and, with obs enabled, on
+        ``repro_estimator_fallbacks_total{kind="fixed_height"}``).  Only
+        :class:`InfeasibleDesignError` is answered this way: any other error
+        of the optimizer propagates.
         """
         try:
             return self._design(pilot, sorted_scores, second_stage_samples)
         except InfeasibleDesignError:
+            if obs.enabled():
+                obs.record_fallback(self.method_name, "fixed_height")
             return fixed_height_design(
                 pilot, self.num_strata, second_stage_samples, self.allocation
             )
@@ -217,11 +190,8 @@ class LearnedStratifiedSampling:
         sampling_budget: int,
         rng: np.random.Generator,
         evaluations_before: int,
-        total_started: float,
-        predicate_seconds_before: float,
         learning_positives: float,
         learning_count: int,
-        training_seconds: float,
     ) -> CountEstimate:
         """Deterministic fallback when the two-stage design is infeasible.
 
@@ -229,29 +199,20 @@ class LearnedStratifiedSampling:
         for both a pilot and a per-stratum second stage, so the whole
         sampling budget becomes one simple random sample over the unlabelled
         remainder — an unbiased estimate with a valid interval, combined
-        with the exactly-known learning-phase positives as usual.  The
-        details carry the same ``timings`` breakdown as the two-stage path
-        so overhead consumers keep working on degenerate configurations.
+        with the exactly-known learning-phase positives as usual.  With obs
+        enabled the fallback is counted as
+        ``repro_estimator_fallbacks_total{kind="pilot_only"}``.
         """
+        if obs.enabled():
+            obs.record_fallback(self.method_name, "pilot_only")
         population = ordered_objects.size
         take = int(min(sampling_budget, population))
         with obs.stage("lss.pilot"):
-            overhead_started = time.perf_counter()
             positions = sample_without_replacement(population, take, seed=rng)
-            sampling_overhead_seconds = time.perf_counter() - overhead_started
             labels = query.evaluate(ordered_objects[positions])
-            overhead_started = time.perf_counter()
             srs = SimpleRandomSampling(confidence=self.confidence).estimate_from_labels(
                 labels, population
             )
-            sampling_overhead_seconds += time.perf_counter() - overhead_started
-        timings = LSSPhaseTimings(
-            learning_seconds=training_seconds,
-            design_seconds=0.0,
-            sampling_overhead_seconds=sampling_overhead_seconds,
-            predicate_seconds=query.evaluation_seconds - predicate_seconds_before,
-            total_seconds=time.perf_counter() - total_started,
-        )
         return CountEstimate(
             count=srs.count + learning_positives,
             proportion=srs.proportion,
@@ -263,7 +224,6 @@ class LearnedStratifiedSampling:
             count_offset=learning_positives,
             details={
                 "degenerate": "pilot-only",
-                "timings": timings,
                 "learning_count": learning_count,
                 "learning_positives": learning_positives,
                 "pilot_size": take,
@@ -291,9 +251,7 @@ class LearnedStratifiedSampling:
             query = query.with_backend(backend)
         budget = min(budget, query.num_objects)
         rng = resolve_rng(seed)
-        total_started = time.perf_counter()
         evaluations_before = query.evaluations
-        predicate_seconds_before = query.evaluation_seconds
 
         learning_budget = max(int(round(self.learning_fraction * budget)), 2)
         learning_budget = min(learning_budget, budget - 4)
@@ -321,13 +279,11 @@ class LearnedStratifiedSampling:
         sampling_budget = min(sampling_budget, remaining.size)
 
         # Order the remaining objects by classifier score.
-        overhead_started = time.perf_counter()
         with obs.stage("lss.scoring"):
             scores = learning.classifier.predict_scores(query.features(remaining))
             order = np.argsort(scores, kind="stable")
             ordered_objects = remaining[order]
             sorted_scores = scores[order]
-        sampling_overhead_seconds = time.perf_counter() - overhead_started
 
         return self._sampling_phase(
             query,
@@ -336,12 +292,8 @@ class LearnedStratifiedSampling:
             sampling_budget,
             rng,
             evaluations_before=evaluations_before,
-            total_started=total_started,
-            predicate_seconds_before=predicate_seconds_before,
             learning_positives=learning.positive_count,
             learning_count=learning.labelled_count,
-            training_seconds=learning.training_seconds,
-            sampling_overhead_seconds=sampling_overhead_seconds,
             # Hand the *unordered* scores to a strata-pushdown backend so the
             # database genuinely re-derives the ordering with ROW_NUMBER —
             # then the runtime verification below proves it matches argsort.
@@ -372,9 +324,7 @@ class LearnedStratifiedSampling:
         if budget < 2:
             raise ValueError("budget must be at least 2 predicate evaluations")
         rng = resolve_rng(seed)
-        total_started = time.perf_counter()
         evaluations_before = query.evaluations
-        predicate_seconds_before = query.evaluation_seconds
 
         labels = learned.labels_for(query)
         learning_positives = float(labels.sum())
@@ -396,12 +346,8 @@ class LearnedStratifiedSampling:
             sampling_budget,
             rng,
             evaluations_before=evaluations_before,
-            total_started=total_started,
-            predicate_seconds_before=predicate_seconds_before,
             learning_positives=learning_positives,
             learning_count=int(labels.size),
-            training_seconds=0.0,
-            sampling_overhead_seconds=0.0,
         )
 
     def _sampling_phase(
@@ -412,12 +358,8 @@ class LearnedStratifiedSampling:
         sampling_budget: int,
         rng: np.random.Generator,
         evaluations_before: int,
-        total_started: float,
-        predicate_seconds_before: float,
         learning_positives: float,
         learning_count: int,
-        training_seconds: float,
-        sampling_overhead_seconds: float,
         layout_source: "tuple[np.ndarray, np.ndarray] | None" = None,
     ) -> CountEstimate:
         """Pilot + stage-II stratified estimation over a score-ordered population.
@@ -452,11 +394,8 @@ class LearnedStratifiedSampling:
                 sampling_budget,
                 rng,
                 evaluations_before,
-                total_started,
-                predicate_seconds_before,
                 learning_positives,
                 learning_count,
-                training_seconds,
             )
         pilot_size = int(round(self.pilot_fraction * sampling_budget))
         pilot_size = max(
@@ -484,12 +423,8 @@ class LearnedStratifiedSampling:
                 sampling_budget,
                 rng,
                 evaluations_before=evaluations_before,
-                total_started=total_started,
-                predicate_seconds_before=predicate_seconds_before,
                 learning_positives=learning_positives,
                 learning_count=learning_count,
-                training_seconds=training_seconds,
-                sampling_overhead_seconds=sampling_overhead_seconds,
                 pilot_size=pilot_size,
                 second_stage_samples=second_stage_samples,
                 pushdown=pushdown,
@@ -507,12 +442,8 @@ class LearnedStratifiedSampling:
         sampling_budget: int,
         rng: np.random.Generator,
         evaluations_before: int,
-        total_started: float,
-        predicate_seconds_before: float,
         learning_positives: float,
         learning_count: int,
-        training_seconds: float,
-        sampling_overhead_seconds: float,
         pilot_size: int,
         second_stage_samples: int,
         pushdown,
@@ -532,7 +463,6 @@ class LearnedStratifiedSampling:
             pilot = PilotSample(pilot_positions, pilot_labels, ordered_objects.size)
 
         # Sample design: stratification + allocation.
-        design_started = time.perf_counter()
         with obs.stage("lss.design", optimizer=self.optimizer):
             design = self._design_with_fallback(
                 pilot, sorted_scores, max(second_stage_samples, 1)
@@ -567,7 +497,6 @@ class LearnedStratifiedSampling:
                 second_stage_samples,
                 stratum_stds=allocation_stds,
             )
-        design_seconds = time.perf_counter() - design_started
 
         # Stage II: draw the allotted samples, excluding pilot objects.  Only
         # the fresh stage-II labels feed the final estimator: the pilot
@@ -577,8 +506,6 @@ class LearnedStratifiedSampling:
         stratum_labels: list[np.ndarray] = []
         slices = design.stratum_slices()
         with obs.stage("lss.stage2"):
-            overhead_started = time.perf_counter()
-            stage2_overhead = 0.0
             if layout is not None:
                 # Pushed-down stage II: re-cut the in-database strata to the
                 # designed layout, run *all* seeded draws first — label
@@ -614,14 +541,12 @@ class LearnedStratifiedSampling:
                         per_stratum.append(pilot_labels[in_stratum_mask])
                 if position_parts:
                     positions = np.concatenate(position_parts)
-                    stage2_overhead += time.perf_counter() - overhead_started
                     labels = pushdown.stage_labels(
                         layout,
                         positions,
                         ordered_objects[positions],
                         expected_strata=np.concatenate(strata_parts),
                     )
-                    overhead_started = time.perf_counter()
                     bounds = np.cumsum([part.size for part in position_parts])[:-1]
                     segments = iter(np.split(labels, bounds))
                     stratum_labels = [
@@ -641,16 +566,12 @@ class LearnedStratifiedSampling:
                     take = int(min(allotted, available.size))
                     if take > 0:
                         chosen_positions = sample_without_replacement(available, take, seed=rng)
-                        stage2_overhead += time.perf_counter() - overhead_started
-                        extra_labels = query.evaluate(ordered_objects[chosen_positions])
-                        overhead_started = time.perf_counter()
-                        stratum_labels.append(extra_labels)
+                        stratum_labels.append(query.evaluate(ordered_objects[chosen_positions]))
                     else:
                         # Degenerate budget: no fresh samples fit in this stratum, so
                         # fall back to its pilot labels rather than treating it as
                         # unobserved.
                         stratum_labels.append(pilot_in_stratum)
-            stage2_overhead += time.perf_counter() - overhead_started
 
             estimate = stratified.estimate_from_samples(
                 partition,
@@ -659,18 +580,9 @@ class LearnedStratifiedSampling:
                 method=self.method_name,
             )
 
-        predicate_seconds = query.evaluation_seconds - predicate_seconds_before
-        timings = LSSPhaseTimings(
-            learning_seconds=training_seconds,
-            design_seconds=design_seconds,
-            sampling_overhead_seconds=sampling_overhead_seconds + stage2_overhead,
-            predicate_seconds=predicate_seconds,
-            total_seconds=time.perf_counter() - total_started,
-        )
         details = {
             "design": design,
             "allocation": allocation.counts,
-            "timings": timings,
             "learning_count": learning_count,
             "learning_positives": learning_positives,
             "pilot_size": pilot_size,

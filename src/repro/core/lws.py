@@ -11,9 +11,7 @@ poor classifier only costs extra variance, never bias.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
-
 
 from repro.core.estimate import CountEstimate
 from repro.core.learning_phase import run_learning_phase
@@ -111,10 +109,8 @@ class LearnedWeightedSampling:
                 details={"degenerate": True},
             )
 
-        overhead_started = time.perf_counter()
         with obs.stage("lws.scoring"):
             scores = learning.classifier.predict_scores(query.features(remaining))
-        overhead_seconds = time.perf_counter() - overhead_started
 
         sampler = WeightedSampling(floor=self.score_floor, confidence=self.confidence)
         with obs.stage("lws.sampling"):
@@ -131,14 +127,10 @@ class LearnedWeightedSampling:
                 pushdown=query.stage_pushdown(),
             )
 
-        details = dict(estimate.details)
-        details.update(
-            {
-                "learning_count": learning.labelled_count,
-                "learning_positives": learning.positive_count,
-                "scoring_seconds": overhead_seconds,
-                "training_seconds": learning.training_seconds,
-            }
+        details = dict(
+            estimate.details,
+            learning_count=learning.labelled_count,
+            learning_positives=learning.positive_count,
         )
         return CountEstimate(
             count=estimate.count + learning.positive_count,
@@ -201,14 +193,10 @@ class LearnedWeightedSampling:
                 pushdown=query.stage_pushdown(),
             )
 
-        details = dict(estimate.details)
-        details.update(
-            {
-                "learning_count": int(labels.size),
-                "learning_positives": learning_positives,
-                "scoring_seconds": 0.0,
-                "training_seconds": 0.0,
-            }
+        details = dict(
+            estimate.details,
+            learning_count=int(labels.size),
+            learning_positives=learning_positives,
         )
         return CountEstimate(
             count=estimate.count + learning_positives,

@@ -81,7 +81,6 @@ class LearnedScores:
         ordered_objects: ``remaining_indices`` stably sorted by score (the
             LSS stratification axis).
         sorted_scores: scores in the same order.
-        training_seconds: classifier training wall-clock.
         oracle_calls: predicate evaluations charged by the learning phase.
     """
 
@@ -93,7 +92,6 @@ class LearnedScores:
     scores: np.ndarray
     ordered_objects: np.ndarray
     sorted_scores: np.ndarray
-    training_seconds: float
     oracle_calls: int = field(default=0)
 
     def labels_for(self, query: CountingQuery) -> np.ndarray:
@@ -153,6 +151,5 @@ def learn_scores(query: CountingQuery, spec: LearnedScoresSpec) -> LearnedScores
         scores=scores,
         ordered_objects=remaining[order],
         sorted_scores=scores[order],
-        training_seconds=learning.training_seconds,
         oracle_calls=query.evaluations - evaluations_before,
     )

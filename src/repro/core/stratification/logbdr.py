@@ -41,6 +41,28 @@ def _gap_candidates(left_cut: int, right_cut: int) -> list[int]:
     return sorted(cut for cut in candidates if left_cut <= cut < right_cut)
 
 
+def _design_count(gap_sizes: list[int], groups: int, min_pilot: int) -> int:
+    """Number of designs the enumeration below would evaluate.
+
+    Sums, over every choice of ``groups - 1`` ending pilot objects whose
+    pilot groups all hold at least ``min_pilot`` objects, the product of the
+    chosen gaps' candidate counts — one prefix-sum pass per stratum instead
+    of walking the partitionings, so an over-cap input is refused before any
+    design is evaluated.
+    """
+    m = len(gap_sizes)
+    step = max(min_pilot, 1)
+    ways = [size if index >= min_pilot - 1 else 0 for index, size in enumerate(gap_sizes)]
+    for _ in range(groups - 2):
+        reachable = 0
+        extended = [0] * m
+        for index in range(step, m):
+            reachable += ways[index - step]
+            extended[index] = gap_sizes[index] * reachable
+        ways = extended
+    return sum(ways[: max(m - min_pilot, 0)])
+
+
 def logbdr_design(
     pilot: PilotSample,
     num_strata: int,
@@ -58,8 +80,11 @@ def logbdr_design(
         min_stratum_size: minimum objects per stratum (``N_⊔``).
         min_pilot_per_stratum: minimum pilot objects per stratum (``m_⊔``).
         max_designs: hard cap on the number of candidate designs evaluated —
-            the enumeration refuses to run past it rather than silently
-            truncating.
+            the enumeration refuses to run past it, before evaluating any,
+            rather than silently truncating.  Under LSS the refusal is an
+            :class:`InfeasibleDesignError` answered by the fixed-height
+            fallback; the cap is reached at pilots of a few dozen objects
+            at H = 4.
     """
     if num_strata <= 0:
         raise ValueError("num_strata must be positive")
@@ -82,12 +107,24 @@ def logbdr_design(
     population = pilot.population_size
     positions = pilot.positions
     best_design: StratificationDesign | None = None
-    evaluated = 0
 
     partitionings = comb(m, num_strata - 1)
     if partitionings > max_designs:
         raise InfeasibleDesignError(
             f"LogBdr would enumerate {partitionings} pilot partitionings (> {max_designs}); "
+            "reduce the pilot size, the number of strata, or use DynPgm"
+        )
+    # Candidate cuts after each pilot object, up to the next one.
+    gaps = [
+        _gap_candidates(
+            int(positions[index]) + 1,
+            int(positions[index + 1]) + 1 if index + 1 < m else population,
+        )
+        for index in range(m)
+    ]
+    if _design_count([len(gap) for gap in gaps], num_strata, min_pilot_per_stratum) > max_designs:
+        raise InfeasibleDesignError(
+            f"LogBdr would evaluate more than {max_designs} designs; "
             "reduce the pilot size, the number of strata, or use DynPgm"
         )
 
@@ -96,23 +133,7 @@ def logbdr_design(
         group_sizes = np.diff(np.concatenate([[-1], np.asarray(chosen), [m - 1]]))
         if np.any(group_sizes < min_pilot_per_stratum):
             continue
-        per_gap_candidates: list[list[int]] = []
-        for order, pilot_index in enumerate(chosen):
-            left_cut = int(positions[pilot_index]) + 1
-            right_cut = (
-                int(positions[pilot_index + 1]) + 1 if pilot_index + 1 < m else population
-            )
-            per_gap_candidates.append(_gap_candidates(left_cut, right_cut))
-
-        combination_count = int(np.prod([len(c) for c in per_gap_candidates]))
-        if evaluated + combination_count > max_designs:
-            raise InfeasibleDesignError(
-                f"LogBdr would evaluate more than {max_designs} designs; "
-                "reduce the pilot size, the number of strata, or use DynPgm"
-            )
-        evaluated += combination_count
-
-        for inner in product(*per_gap_candidates):
+        for inner in product(*(gaps[index] for index in chosen)):
             cuts = np.concatenate([[0], np.asarray(inner, dtype=np.int64), [population]])
             if np.any(np.diff(cuts) <= 0):
                 continue

@@ -7,12 +7,30 @@ ordering, sampling machinery) — and shows that together they are a tiny
 fraction (≈0.2 %) of total runtime, which is dominated by expensive-predicate
 evaluation.  This driver measures the same three phases with the real
 (uncached) predicate.
+
+Every column comes from :mod:`repro.obs`: the estimator's stage spans and
+the predicate seconds recorded per stage (``repro_oracle_seconds_total``).
+Each row is the mean over the point's trials of:
+
+* ``p1_learning_s`` — the ``lss.learning`` span minus its predicate seconds
+  (learning-set draw, features, classifier training).
+* ``p1_design_s`` — the ``lss.design`` span (stratification, allocation).
+* ``p2_overhead_s`` — the ``lss.scoring``, ``lss.pilot`` and ``lss.stage2``
+  spans minus their predicate seconds (scoring and ordering, the pilot and
+  stage-II draws, the stratified estimate).
+* ``predicate_s`` — all predicate seconds.
+* ``total_s`` — the trial's root span, around the whole estimate.
+* ``overhead_pct`` — the three overhead columns as a share of ``total_s``.
+
+The four phase columns are disjoint parts of the root span, so they sum to at
+most ``total_s``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.core.lss import LearnedStratifiedSampling
 from repro.experiments.common import build_scaled_workload
 from repro.experiments.config import SMALL_SCALE, ExperimentScale
@@ -21,6 +39,9 @@ from repro.query.counting import CountingQuery
 from repro.query.predicates import CallablePredicate
 from repro.sampling.rng import spawn_seeds
 from repro.workloads.queries import Workload
+
+#: Stage spans whose predicate-free time is phase-2 overhead.
+_PHASE2_STAGES = ("lss.scoring", "lss.pilot", "lss.stage2")
 
 
 def _with_expensive_predicate(workload: Workload, cost_seconds: float) -> Workload:
@@ -71,6 +92,15 @@ def _wrapped_workload(
     return workload
 
 
+def _oracle_seconds() -> dict[str, float]:
+    """Oracle seconds recorded so far, per stage label."""
+    return {
+        dict(labels)["stage"]: value
+        for (name, labels), value in obs.registry().iter_counters()
+        if name == obs.ORACLE_SECONDS
+    }
+
+
 def _overhead_point(
     args: tuple[str, str | float, ExperimentScale, float, int, float],
 ) -> dict[str, object]:
@@ -80,34 +110,51 @@ def _overhead_point(
     process: the wrapped expensive predicate closes over lambdas and cannot
     be pickled, so each worker rebuilds its own wrapped workload.  Timings
     are wall-clock measurements, not estimates, so parallel runs report the
-    same structure but (legitimately) different seconds.
+    same structure but (legitimately) different seconds.  Observability is
+    switched on for the trials only; its previous state is restored after.
     """
     dataset, level, scale, fraction, trials_per_point, predicate_cost_seconds = args
     workload = _wrapped_workload(dataset, level, scale, predicate_cost_seconds)
     budget = workload.sample_size(fraction)
-    learning = design = phase2 = predicate = total = 0.0
-    for rng in spawn_seeds(scale.seed, trials_per_point):
-        with workload.query.fresh_accounting():
-            estimate = LearnedStratifiedSampling().estimate(workload.query, budget, seed=rng)
-        timings = estimate.details["timings"]
-        learning += timings.learning_seconds
-        design += timings.design_seconds
-        phase2 += timings.sampling_overhead_seconds
-        predicate += timings.predicate_seconds
-        total += timings.total_seconds
-    scale_factor = 1.0 / trials_per_point
-    overhead = (learning + design + phase2) * scale_factor
-    total_mean = total * scale_factor
+    sums = dict.fromkeys(("learning", "design", "phase2", "predicate", "total"), 0.0)
+    was_enabled = obs.set_enabled(True)
+    try:
+        for rng in spawn_seeds(scale.seed, trials_per_point):
+            before = _oracle_seconds()
+            with workload.query.fresh_accounting(), obs.span("figure3.trial") as root:
+                LearnedStratifiedSampling().estimate(workload.query, budget, seed=rng)
+            oracle = {
+                stage: seconds - before.get(stage, 0.0)
+                for stage, seconds in _oracle_seconds().items()
+            }
+            stages = {child.name: child.duration_seconds for child in root.children}
+            # Learning labels under learning.* spans or lss.learning itself;
+            # every other predicate batch runs in a phase-2 stage.
+            learning_oracle = sum(
+                seconds for stage, seconds in oracle.items() if "learning" in stage
+            )
+            predicate = sum(oracle.values())
+            sums["learning"] += stages.get("lss.learning", 0.0) - learning_oracle
+            sums["design"] += stages.get("lss.design", 0.0)
+            sums["phase2"] += sum(stages.get(stage, 0.0) for stage in _PHASE2_STAGES) - (
+                predicate - learning_oracle
+            )
+            sums["predicate"] += predicate
+            sums["total"] += root.duration_seconds
+    finally:
+        obs.set_enabled(was_enabled)
+    mean = {phase: seconds / trials_per_point for phase, seconds in sums.items()}
+    overhead = mean["learning"] + mean["design"] + mean["phase2"]
     return {
         "dataset": dataset,
         "level": level,
         "sample_size": budget,
-        "p1_learning_s": round(learning * scale_factor, 4),
-        "p1_design_s": round(design * scale_factor, 4),
-        "p2_overhead_s": round(phase2 * scale_factor, 4),
-        "predicate_s": round(predicate * scale_factor, 4),
-        "total_s": round(total_mean, 4),
-        "overhead_pct": round(100.0 * overhead / total_mean, 3) if total_mean else 0.0,
+        "p1_learning_s": round(mean["learning"], 4),
+        "p1_design_s": round(mean["design"], 4),
+        "p2_overhead_s": round(mean["phase2"], 4),
+        "predicate_s": round(mean["predicate"], 4),
+        "total_s": round(mean["total"], 4),
+        "overhead_pct": round(100.0 * overhead / mean["total"], 3) if mean["total"] else 0.0,
     }
 
 

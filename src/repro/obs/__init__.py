@@ -18,6 +18,8 @@ Typical use::
 
 from __future__ import annotations
 
+import time
+
 from repro.obs import export, metrics, trace
 from repro.obs.metrics import (
     BACKEND_ROWS_SCANNED,
@@ -25,11 +27,13 @@ from repro.obs.metrics import (
     DESIGN_CACHE_REQUESTS,
     DYNPGM_CANDIDATES,
     DYNPGM_DPS_SOLVED,
+    ESTIMATOR_FALLBACKS,
     FAULTS_INJECTED,
     HTTP_REQUEST_SECONDS,
     LOCK_RETRIES,
     ORACLE_CALLS,
     ORACLE_RETRIES,
+    ORACLE_SECONDS,
     POOL_CHUNK_TRIALS,
     POOL_CHUNKS,
     POOL_DISPATCH_SECONDS,
@@ -65,12 +69,14 @@ __all__ = [
     "DESIGN_CACHE_REQUESTS",
     "DYNPGM_CANDIDATES",
     "DYNPGM_DPS_SOLVED",
+    "ESTIMATOR_FALLBACKS",
     "FAULTS_INJECTED",
     "HTTP_REQUEST_SECONDS",
     "LOCK_RETRIES",
     "MetricsRegistry",
     "ORACLE_CALLS",
     "ORACLE_RETRIES",
+    "ORACLE_SECONDS",
     "POOL_CHUNKS",
     "POOL_CHUNK_TRIALS",
     "POOL_DISPATCH_SECONDS",
@@ -94,6 +100,7 @@ __all__ = [
     "metrics",
     "recent_traces",
     "record_dynpgm_design",
+    "record_fallback",
     "record_oracle_calls",
     "record_rows_scanned",
     "record_stage_query",
@@ -112,23 +119,37 @@ def reset() -> None:
     clear_traces()
 
 
-def record_oracle_calls(batch_size: int) -> None:
-    """Unified oracle-call accounting, attributed to the active stage span.
+def record_oracle_calls(batch_size: int, started: float) -> None:
+    """Unified oracle accounting, attributed to the active stage span.
 
-    Called from ``CountingQuery.evaluate`` when observability is enabled:
-    one counter increment per predicate evaluation plus a batch-size
-    histogram observation — the paper's central cost currency, now visible
-    per learning/pilot/stage-II stage.
+    Called from ``CountingQuery._charged_batch`` when observability is
+    enabled, with ``started`` the :func:`time.perf_counter` reading taken
+    when the batch began: one call-counter increment per predicate
+    evaluation, the batch's seconds on ``repro_oracle_seconds_total`` and a
+    batch-size histogram observation — the paper's central cost currency,
+    in calls and in wall-clock, per learning/pilot/stage-II stage.
     """
+    seconds = time.perf_counter() - started
     stage_name = current_span_name() or "unattributed"
     reg = registry()
     reg.inc(ORACLE_CALLS, float(batch_size), stage=stage_name)
+    reg.inc(ORACLE_SECONDS, seconds, stage=stage_name)
     reg.observe(
         PREDICATE_BATCH_ROWS,
         float(batch_size),
         buckets=(1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0),
         stage=stage_name,
     )
+
+
+def record_fallback(method: str, kind: str) -> None:
+    """One estimate that left its configured path for a fallback.
+
+    ``kind`` names the path taken instead: ``"fixed_height"`` when LSS's
+    optimizer found no feasible design, ``"pilot_only"`` when the sampling
+    budget cannot pay for a pilot plus a second stage.
+    """
+    registry().inc(ESTIMATOR_FALLBACKS, method=method, kind=kind)
 
 
 def record_rows_scanned(rows: int, backend: str) -> None:

@@ -40,6 +40,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 # Metric names used by the built-in instrumentation; collected here so call
 # sites, exporters, and tests agree on spelling.
 ORACLE_CALLS = "repro_oracle_calls_total"
+ORACLE_SECONDS = "repro_oracle_seconds_total"
 PREDICATE_BATCH_ROWS = "repro_predicate_batch_rows"
 BACKEND_ROWS_SCANNED = "repro_backend_rows_scanned_total"
 SQL_ROUNDTRIPS = "repro_sql_roundtrips_total"
@@ -63,6 +64,7 @@ LOCK_RETRIES = "repro_lock_retries_total"
 ORACLE_RETRIES = "repro_oracle_retries_total"
 DYNPGM_CANDIDATES = "repro_dynpgm_candidates"
 DYNPGM_DPS_SOLVED = "repro_dynpgm_dps_solved"
+ESTIMATOR_FALLBACKS = "repro_estimator_fallbacks_total"
 
 
 def _label_key(labels: Mapping[str, object]) -> LabelKey:

@@ -4,9 +4,10 @@ Two executions of the same experiment are *equivalent* when every trial's
 estimate matches bit-for-bit.  Floats are fingerprinted through their IEEE-754
 byte representation (``struct.pack('<d', x)``), not a decimal rendering, so
 the check is exact: a single ULP of drift between a serial and a parallel run
-changes the digest.  Non-deterministic diagnostics (wall-clock timings,
-design objects) are deliberately excluded — they describe the run, not the
-estimate.
+changes the digest.  The ``details`` diagnostics (design objects,
+allocations, fallback markers) are deliberately excluded — they describe the
+run, not the estimate; wall-clock timings live in :mod:`repro.obs`, never
+on the estimate.
 """
 
 from __future__ import annotations

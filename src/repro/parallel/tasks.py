@@ -42,8 +42,8 @@ class TrialTask:
 class TrialResult:
     """The deterministic content of one trial's :class:`CountEstimate`.
 
-    Heavyweight diagnostics (stratum designs, per-phase timings, sampled
-    index arrays) stay in the worker; only the fields that define the
+    Heavyweight diagnostics (stratum designs, allocations, sampled index
+    arrays) stay in the worker; only the fields that define the
     estimate — and therefore its fingerprint — cross the process boundary.
     """
 

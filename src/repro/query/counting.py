@@ -79,7 +79,6 @@ class CountingQuery:
         self._cached_labels: np.ndarray | None = None
         self._backend_siblings: dict[str, "CountingQuery"] = {}
         self._evaluations = 0
-        self._evaluation_seconds = 0.0
 
     @property
     def backend_spec(self) -> str:
@@ -148,11 +147,6 @@ class CountingQuery:
         """Number of predicate evaluations charged so far."""
         return self._evaluations
 
-    @property
-    def evaluation_seconds(self) -> float:
-        """Wall-clock seconds spent inside the predicate so far."""
-        return self._evaluation_seconds
-
     def reset_accounting(self) -> None:
         """Reset the evaluation counters (between experiment trials).
 
@@ -162,7 +156,6 @@ class CountingQuery:
         must never re-trigger the expensive full-table evaluation.
         """
         self._evaluations = 0
-        self._evaluation_seconds = 0.0
 
     @contextlib.contextmanager
     def fresh_accounting(self) -> Iterator["CountingQuery"]:
@@ -236,9 +229,11 @@ class CountingQuery:
         cannot drift between execution paths.  ``compute`` must be a pure
         function of its closure (labels depend only on the indices), which
         is what makes a retried batch return the exact bytes of an unfaulted
-        one while the batch is charged once.
+        one while the batch is charged once.  The clock is read only when
+        obs is enabled: the batch's seconds go to the oracle-seconds counter.
         """
-        started = time.perf_counter()
+        timed = obs.enabled()
+        started = time.perf_counter() if timed else 0.0
         plan = active_plan()
         if plan is None:
             labels = compute()
@@ -257,9 +252,8 @@ class CountingQuery:
                 assert failure is not None
                 raise failure
         self._evaluations += int(size)
-        self._evaluation_seconds += time.perf_counter() - started
-        if obs.enabled():
-            obs.record_oracle_calls(int(size))
+        if timed:
+            obs.record_oracle_calls(int(size), started)
         return labels
 
     def evaluate(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -98,6 +98,14 @@ class TestWorkflowStructure:
             "obs-trace.json" in str(s.get("with", {}).get("path", "")) for s in uploads
         ), "obs trace artifact is not uploaded"
 
+    def test_fast_job_runs_examples(self, workflow):
+        # Examples are executed, not only compiled, so one reading a
+        # removed field fails the build.
+        steps = workflow["jobs"]["fast"]["steps"]
+        runs = [str(s.get("run", "")) for s in steps]
+        for example in ("examples/quickstart.py", "examples/custom_udf_query.py"):
+            assert any(f"python {example}" in run for run in runs), example
+
     def test_jobs_cache_generated_datasets(self, workflow):
         # Both tiers persist the generated seeded datasets between jobs,
         # keyed on the dataset modules' content hash.

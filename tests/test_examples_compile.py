@@ -1,9 +1,8 @@
 """Sanity checks for the example scripts.
 
-Running the examples end-to-end belongs to the documentation workflow (they
-print reports and take tens of seconds); here we only verify that every
-example compiles and exposes a ``main`` entry point, so a broken import or
-signature change cannot ship unnoticed.
+The fast CI tier runs ``quickstart.py`` and ``custom_udf_query.py`` end to
+end; here we only verify that every example compiles and exposes a ``main``
+entry point, so a broken import or signature change cannot ship unnoticed.
 """
 
 import ast

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.experiments import (
     TINY_SCALE,
     ExperimentScale,
@@ -64,16 +65,30 @@ class TestFigureDrivers:
             assert row["mean_evaluations"] > 0
 
     def test_figure3_overhead_rows(self):
-        rows = run_figure3_overhead(
-            MICRO_SCALE,
-            sample_fractions=(0.05,),
-            trials_per_point=1,
-            predicate_cost_seconds=0.0005,
-        )
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["predicate_s"] > 0
-        assert 0 <= row["overhead_pct"] <= 100
+        previous = obs.enabled()
+        rows = []
+        try:
+            for obs_enabled in (False, True):
+                obs.set_enabled(obs_enabled)
+                rows += run_figure3_overhead(
+                    MICRO_SCALE,
+                    sample_fractions=(0.05,),
+                    trials_per_point=1,
+                    predicate_cost_seconds=0.0005,
+                )
+                # Figure 3 switches obs on for its own trials only.
+                assert obs.enabled() is obs_enabled
+        finally:
+            obs.set_enabled(previous)
+        assert len(rows) == 2
+        phases = ("p1_learning_s", "p1_design_s", "p2_overhead_s", "predicate_s")
+        for row in rows:
+            assert all(row[phase] >= 0 for phase in phases)
+            assert row["predicate_s"] > 0
+            # Disjoint parts of the trial's root span; each column is
+            # rounded to 1e-4 s on its own, hence the slack.
+            assert sum(row[phase] for phase in phases) <= row["total_s"] + 5 * 0.5e-4
+            assert 0 <= row["overhead_pct"] <= 100
 
     def test_figure4_layout_rows(self):
         rows = run_figure4_strata_layout(MICRO_SCALE)

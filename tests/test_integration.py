@@ -104,4 +104,4 @@ class TestEndToEndEstimation:
         budget = workload.sample_size(0.1)
         estimate = LearnedStratifiedSampling().estimate(workload.query, budget, seed=1)
         assert 0 <= estimate.count <= workload.num_objects
-        assert workload.query.evaluation_seconds > 0.0
+        assert workload.query.evaluations == estimate.predicate_evaluations > 0

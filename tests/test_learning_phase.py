@@ -56,8 +56,3 @@ class TestRunLearningPhase:
     def test_invalid_active_fraction(self, threshold_query):
         with pytest.raises(ValueError):
             run_learning_phase(threshold_query, 20, active_learning_fraction=1.0)
-
-    def test_timing_fields_populated(self, threshold_query):
-        result = run_learning_phase(threshold_query, 40, seed=5)
-        assert result.training_seconds >= 0.0
-        assert result.predicate_seconds >= 0.0

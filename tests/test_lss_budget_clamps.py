@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import repro.core.lss as lss_module
+from repro import obs
 from repro.core.lss import LearnedStratifiedSampling
+from repro.parallel.fingerprint import estimate_fingerprint
 from repro.workloads.queries import build_workload
 
 
@@ -99,3 +101,72 @@ class TestDesignFallback:
         estimator = LearnedStratifiedSampling(num_strata=4)
         with pytest.raises(ValueError, match="broadcast"):
             estimator.estimate(workload.query, 60, seed=np.random.default_rng(2))
+
+
+def _fallbacks(kind: str) -> float:
+    return obs.registry().counter_value(obs.ESTIMATOR_FALLBACKS, method="lss", kind=kind)
+
+
+@pytest.fixture(scope="module")
+def neighbors_workload():
+    return build_workload("neighbors", level="S", num_rows=3_000)
+
+
+class TestFallbackCounter:
+    """Each LSS fallback is counted once, and counting changes no estimate."""
+
+    @staticmethod
+    def _estimate_counted(estimator, query, budget, seed):
+        """Run one estimate with obs on; return it and the fallback-counter rises."""
+        before = {kind: _fallbacks(kind) for kind in ("fixed_height", "pilot_only")}
+        was_enabled = obs.set_enabled(True)
+        try:
+            estimate = estimator.estimate(query, budget, seed=seed)
+        finally:
+            obs.set_enabled(was_enabled)
+        rises = {kind: _fallbacks(kind) - before[kind] for kind in before}
+        return estimate, rises
+
+    @staticmethod
+    def _assert_obs_invisible(estimate, estimator, query, budget, seed):
+        was_enabled = obs.set_enabled(False)
+        try:
+            unobserved = estimator.estimate(query, budget, seed=seed)
+        finally:
+            obs.set_enabled(was_enabled)
+        assert estimate_fingerprint(unobserved) == estimate_fingerprint(estimate)
+
+    @pytest.mark.parametrize(
+        "num_strata, budget, seed, kind",
+        [(4, 10, 5, "fixed_height"), (16, 9, 31, "pilot_only"), (4, 60, 2, None)],
+        ids=["fixed_height", "pilot_only", "none"],
+    )
+    def test_fallback_counted_once(self, workload, num_strata, budget, seed, kind):
+        estimator = LearnedStratifiedSampling(num_strata=num_strata)
+        estimate, rises = self._estimate_counted(estimator, workload.query, budget, seed)
+        expected = {"fixed_height": 0.0, "pilot_only": 0.0}
+        if kind is not None:
+            expected[kind] = 1.0
+        assert rises == expected
+        if kind == "fixed_height":
+            assert estimate.details["design_fallback"] == "fixed_height"
+        elif kind == "pilot_only":
+            assert estimate.details["degenerate"] == "pilot-only"
+        self._assert_obs_invisible(estimate, estimator, workload.query, budget, seed)
+
+    @pytest.mark.parametrize(
+        "budget, pilot_size, algorithm", [(120, 27, "logbdr"), (300, 68, "fixed-height")]
+    )
+    def test_logbdr_design_cap(self, neighbors_workload, budget, pilot_size, algorithm):
+        # LogBdr refuses to evaluate more than 500,000 designs; at H = 4 a
+        # pilot of 68 already exceeds that, and LSS falls back, counted.
+        estimator = LearnedStratifiedSampling(optimizer="logbdr")
+        query = neighbors_workload.query
+        estimate, rises = self._estimate_counted(estimator, query, budget, 3)
+        assert estimate.details["pilot_size"] == pilot_size
+        assert estimate.details["design"].algorithm == algorithm
+        fell_back = algorithm == "fixed-height"
+        assert rises == {"fixed_height": float(fell_back), "pilot_only": 0.0}
+        assert estimate.details.get("design_fallback") == ("fixed_height" if fell_back else None)
+        if fell_back:  # the LogBdr enumeration itself takes seconds; run it once
+            self._assert_obs_invisible(estimate, estimator, query, budget, 3)

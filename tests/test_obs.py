@@ -125,19 +125,28 @@ class TestByteIdentity:
         try:
             _fingerprint(workload, MethodSpec("lss"), 1, budget)
             registry = obs.registry()
-            per_stage = {
-                dict(labels).get("stage"): value
-                for (name, labels), value in registry.iter_counters()
-                if name == obs.ORACLE_CALLS
-            }
+
+            def per_stage(metric):
+                return {
+                    dict(labels).get("stage"): value
+                    for (name, labels), value in registry.iter_counters()
+                    if name == metric
+                }
+
+            calls = per_stage(obs.ORACLE_CALLS)
+            seconds = per_stage(obs.ORACLE_SECONDS)
         finally:
             obs.set_enabled(False)
-        assert per_stage, "no oracle calls recorded"
+        assert calls, "no oracle calls recorded"
         # Attribution is to the innermost span: labelling happens inside
         # learning.label; pilot/stage-II draws spend the rest of the budget.
-        assert "learning.label" in per_stage
-        assert "lss.pilot" in per_stage
-        assert "lss.stage2" in per_stage
+        assert "learning.label" in calls
+        assert "lss.pilot" in calls
+        assert "lss.stage2" in calls
+        # The batch seconds are charged at the same choke point, so they
+        # carry exactly the same stage labels.
+        assert set(seconds) == set(calls)
+        assert all(value >= 0.0 for value in seconds.values())
 
 
 class TestDynPgmMetrics:

@@ -6,6 +6,8 @@ optimal layouts must beat the fixed-width/fixed-height baselines on orderings
 where the labels are concentrated at one end.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.core.stratification import (
     neyman_objective,
     proportional_objective,
 )
+from repro.core.stratification.logbdr import _design_count
 
 CONSTRAINTS = {"min_stratum_size": 10, "min_pilot_per_stratum": 3}
 
@@ -69,6 +72,34 @@ class TestLogBdr:
         pilot = PilotSample(positions, labels, 4000)
         with pytest.raises(ValueError):
             logbdr_design(pilot, 6, 100, max_designs=1000)
+
+    def test_design_count_matches_enumeration(self, rng):
+        # The up-front count must equal what walking every pilot
+        # partitioning would evaluate, or the cap would refuse the wrong
+        # inputs.
+        for _ in range(300):
+            m = int(rng.integers(1, 10))
+            groups = int(rng.integers(2, 6))
+            min_pilot = int(rng.integers(0, 4))
+            gap_sizes = [int(size) for size in rng.integers(0, 5, m)]
+            walked = 0
+            for chosen in combinations(range(m), groups - 1):
+                bounds = np.concatenate([[-1], np.asarray(chosen, dtype=int), [m - 1]])
+                if np.all(np.diff(bounds) >= min_pilot):
+                    walked += int(np.prod([gap_sizes[index] for index in chosen]))
+            assert _design_count(gap_sizes, groups, min_pilot) == walked
+
+    def test_cap_refuses_before_evaluating(self, rng, monkeypatch):
+        import repro.core.stratification.logbdr as logbdr_module
+
+        def no_design(*args, **kwargs):
+            raise AssertionError("a design was evaluated past the cap")
+
+        monkeypatch.setattr(logbdr_module, "design_from_cuts", no_design)
+        positions = np.sort(rng.choice(3000, size=68, replace=False))
+        pilot = PilotSample(positions, rng.integers(0, 2, 68).astype(float), 3000)
+        with pytest.raises(ValueError, match="more than 500000 designs"):
+            logbdr_design(pilot, 4, 200, min_pilot_per_stratum=5)
 
 
 class TestDynPgm:
