@@ -4,7 +4,8 @@ Each benchmark times one vectorized kernel against the retained
 ``*_reference`` scalar implementation on a deterministic, seeded workload,
 verifies that both produce identical results, and reports the speedup.  The
 driver emits ``BENCH_micro.json`` at the repository root so successive PRs
-leave a perf trajectory (`BENCH_*.json`) that CI can archive.
+leave a perf trajectory (`BENCH_*.json`) that CI can archive; the document
+records the usable cores and the Python/numpy versions it was measured with.
 
 Usage::
 
@@ -42,6 +43,7 @@ from repro.datasets.neighbors import (  # noqa: E402
     NEIGHBOR_Y_COLUMN,
     generate_neighbors_table,
 )
+from repro.parallel.engine import available_workers  # noqa: E402
 from repro.query.counting import CountingQuery  # noqa: E402
 from repro.query.predicates import NeighborCountPredicate  # noqa: E402
 from repro.query.spatial import GridIndex  # noqa: E402
@@ -234,6 +236,9 @@ def run_all(scale: str = "full", repeats: int = 3) -> dict:
         "suite": "micro-kernels",
         "scale": scale,
         "repeats": repeats,
+        # The DynPgm kernel runs on every usable core, so its time (and
+        # speedup) depends on this figure as much as on the code.
+        "usable_cores": available_workers(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "benchmarks": results,

@@ -34,9 +34,33 @@ path to the final cut, and ``argmin`` returns the first minimum either
 way, so the designs are byte-identical.  The original per-guess
 implementation is retained as :func:`dynpgm_design_reference`, the
 equivalence oracle of the tests.
+
+The two heavy phases run on the usable cores (affinity-aware), on a
+``ThreadPoolExecutor`` created inside each :func:`dynpgm_design` call; numpy
+releases the GIL in their ufunc, ``take`` and ``argmin`` loops.  The
+statistics row blocks are dealt to one task per thread, and each distinct
+guess's DP is one task.  With one usable core, or one task, the builtin
+``map`` runs the same task functions in the calling thread.  The threads
+never change the design:
+
+* a statistics task writes only its own blocks' rows, and its admitted
+  counts are integers summed after the map;
+* every task allocates its own scratch and DP buffers;
+* the DP results come back in bound order, and the cuts, the designs and
+  the strict-``<`` pick of the best one are computed on the calling thread,
+  as in a serial loop over the guesses.
+
+The pool is shut down (its threads joined) before the call returns, so no
+thread outlives a design and a process forked between designs inherits
+none.
 """
 
 from __future__ import annotations
+
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 
@@ -56,6 +80,14 @@ from repro.core.stratification.dynpgm_prop import _reconstruct_cuts
 #: candidates a block buffer is about 2 MB, the L2 cache of one core; with
 #: 512-row blocks a sweep-lss design took about 1.3× as long (2-vCPU Xeon).
 _ROW_BLOCK = 128
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on, affinity-aware like ``available_workers``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1
 
 
 def _auxiliary_sum_grid(population_size: int, num_strata: int, ratio: float) -> np.ndarray:
@@ -144,6 +176,8 @@ def _end_major_statistics(
     min_stratum_size: int,
     min_pilot_per_stratum: int,
     bounds: np.ndarray,
+    task_map: Callable,
+    workers: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """End-major stratum matrices over the candidate cuts.
 
@@ -155,6 +189,11 @@ def _end_major_statistics(
     ``i``; ``admitted[k]`` counts the feasible strata with ``N_h s_h ≤
     bounds[k]``.  Row ``i`` is only filled up to ``limits`` of the last row
     of its :func:`_row_blocks` block; callers read inside that region.
+
+    The row blocks are dealt round-robin to at most ``workers`` tasks run
+    through ``task_map`` (the design's thread pool ``map``, or the builtin
+    one); each task writes only its own blocks' rows and returns its own
+    admitted counts, which are summed afterwards.
     """
     num_cuts = cuts.size
     n = float(second_stage_samples)
@@ -179,40 +218,53 @@ def _end_major_statistics(
     positions = cuts.astype(np.float64)
     weights = np.empty((num_cuts, num_cuts))
     base_cost = np.empty((num_cuts, num_cuts))
-    admitted = np.zeros(bounds.size, dtype=np.int64)
-    scratch = np.empty((2, _ROW_BLOCK * num_cuts))
-    mask_buffer = np.empty(_ROW_BLOCK * num_cuts, dtype=bool)
-    for r0, r1 in _row_blocks(num_cuts):
-        width = int(limits[r1 - 1])
-        shape = (r1 - r0, width)
-        sizes, variances = (buffer[: shape[0] * shape[1]].reshape(shape) for buffer in scratch)
-        mask = mask_buffer[: shape[0] * shape[1]].reshape(shape)
-        np.subtract(positions[r0:r1, None], positions[None, :width], out=sizes)
-        np.take(rank_variances[ranks[r0:r1]], ranks[:width], axis=1, out=variances)
-        weighted = weights[r0:r1, :width]
-        np.sqrt(variances, out=weighted)
-        np.multiply(sizes, weighted, out=weighted)
-        cost = base_cost[r0:r1, :width]
-        np.square(weighted, out=cost)
-        np.divide(cost, n, out=cost)
-        np.subtract(cost, np.multiply(sizes, variances, out=variances), out=cost)
-        np.copyto(weighted, np.inf, where=np.arange(width) >= limits[r0:r1, None])
-        # Once a bound admits all the block's feasible strata, so do the
-        # larger ones.
-        feasible = int(limits[r0:r1].sum())
-        for k, bound in enumerate(bounds):
-            count = np.count_nonzero(np.less_equal(weighted, bound, out=mask))
-            admitted[k] += count
-            if count == feasible:
-                admitted[k + 1 :] += count
-                break
+
+    def fill(blocks: list[tuple[int, int]]) -> np.ndarray:
+        """Fill the rows of ``blocks``; return their admitted count per bound."""
+        admitted = np.zeros(bounds.size, dtype=np.int64)
+        scratch = np.empty((2, _ROW_BLOCK * num_cuts))
+        mask_buffer = np.empty(_ROW_BLOCK * num_cuts, dtype=bool)
+        for r0, r1 in blocks:
+            width = int(limits[r1 - 1])
+            shape = (r1 - r0, width)
+            sizes, variances = (buffer[: shape[0] * shape[1]].reshape(shape) for buffer in scratch)
+            mask = mask_buffer[: shape[0] * shape[1]].reshape(shape)
+            np.subtract(positions[r0:r1, None], positions[None, :width], out=sizes)
+            np.take(rank_variances[ranks[r0:r1]], ranks[:width], axis=1, out=variances)
+            weighted = weights[r0:r1, :width]
+            np.sqrt(variances, out=weighted)
+            np.multiply(sizes, weighted, out=weighted)
+            cost = base_cost[r0:r1, :width]
+            np.square(weighted, out=cost)
+            np.divide(cost, n, out=cost)
+            np.subtract(cost, np.multiply(sizes, variances, out=variances), out=cost)
+            np.copyto(weighted, np.inf, where=np.arange(width) >= limits[r0:r1, None])
+            # Once a bound admits all the block's feasible strata, so do the
+            # larger ones.
+            feasible = int(limits[r0:r1].sum())
+            for k, bound in enumerate(bounds):
+                count = np.count_nonzero(np.less_equal(weighted, bound, out=mask))
+                admitted[k] += count
+                if count == feasible:
+                    admitted[k + 1 :] += count
+                    break
+        return admitted
+
+    blocks = list(_row_blocks(num_cuts))
+    tasks = min(workers, len(blocks))
+    admitted = sum(task_map(fill, (blocks[task::tasks] for task in range(tasks))))
     return weights, base_cost, limits, admitted
 
 
 def _backward_reach(
     weights: np.ndarray, limits: np.ndarray, bound: float, depth: int
 ) -> list[np.ndarray]:
-    """``reach[k]``: the cuts at most ``k`` admitted strata before the final cut."""
+    """``reach[k]``: the cuts at most ``k`` admitted strata before the final cut.
+
+    The frontier's rows are gathered ``_ROW_BLOCK`` at a time, each against
+    the unreached cuts below its last row's limit, so the transient matrix
+    is never larger than a DP block.
+    """
     final_index = weights.shape[0] - 1
     reached = np.zeros(weights.shape[0], dtype=bool)
     reached[final_index] = True
@@ -221,10 +273,17 @@ def _backward_reach(
     for _ in range(depth):
         if frontier.size:
             unreached = np.flatnonzero(~reached[: limits[frontier[-1]]])
-            admitted = (weights[frontier[:, None], unreached] <= bound) & (
-                unreached < limits[frontier, None]
-            )
-            frontier = unreached[admitted.any(axis=0)]
+            hit = np.zeros(unreached.size, dtype=bool)
+            # The frontier is ascending and limits nondecreasing, so a
+            # block's last row has its widest feasible prefix.
+            for r0, r1 in _row_blocks(frontier.size):
+                rows = frontier[r0:r1]
+                columns = unreached[: np.searchsorted(unreached, limits[rows[-1]])]
+                admitted = (weights[rows[:, None], columns] <= bound) & (
+                    columns < limits[rows, None]
+                )
+                hit[: columns.size] |= admitted.any(axis=0)
+            frontier = unreached[hit]
             reached[frontier] = True
         reach.append(reached.copy())
     return reach
@@ -235,10 +294,9 @@ def _solve_dp(
     weights: np.ndarray,
     base_cost: np.ndarray,
     limits: np.ndarray,
-    bound: float,
     num_strata: int,
     n: float,
-    buffers: np.ndarray,
+    bound: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One guess's DP: parent pointers and the final cut's value per level.
 
@@ -256,6 +314,7 @@ def _solve_dp(
     """
     num_cuts = weights.shape[0]
     final_index = num_cuts - 1
+    buffers = np.empty((2, _ROW_BLOCK * num_cuts))
     parents = np.zeros((num_cuts, num_strata + 1), dtype=np.int64)
     final_values = np.full(num_strata + 1, np.inf)
     reach = _backward_reach(weights, limits, bound, num_strata - 2)
@@ -338,39 +397,57 @@ def dynpgm_design(
     num_cuts = cuts.size
     final_index = num_cuts - 1
     bounds = _auxiliary_sum_grid(pilot.population_size, num_strata, grid_ratio)
-    weights, base_cost, limits, admitted_counts = _end_major_statistics(
-        pilot, cuts, second_stage_samples, min_stratum_size, min_pilot_per_stratum, bounds
-    )
+    workers = _usable_cores()
+    # Created per call and joined on exit: no thread outlives a design, so a
+    # process forked between designs (the warm pool's workers) inherits none.
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="dynpgm") as pool:
 
-    buffers = np.empty((2, _ROW_BLOCK * num_cuts))
-    best_design: StratificationDesign | None = None
-    solved = 0
-    admitted_count = -1
-    for bound, admitted in zip(bounds, admitted_counts):
-        # The mask {weights <= bound} grows monotonically with the bound, so
-        # two guesses admitting the same number of feasible strata admit the
-        # *same* strata and would reconstruct the same design: solve once.
-        if admitted == admitted_count:
-            continue
-        admitted_count = admitted
-        if not (weights[final_index, : limits[final_index]] <= bound).any():
-            continue
-        parents, final_values = _solve_dp(
-            weights, base_cost, limits, bound, num_strata, float(second_stage_samples), buffers
+        def task_map(function, items):
+            items = list(items)
+            return (pool.map if workers > 1 and len(items) > 1 else map)(function, items)
+
+        weights, base_cost, limits, admitted_counts = _end_major_statistics(
+            pilot,
+            cuts,
+            second_stage_samples,
+            min_stratum_size,
+            min_pilot_per_stratum,
+            bounds,
+            task_map,
+            workers,
         )
-        solved += 1
-        finite_levels = np.flatnonzero(np.isfinite(final_values))
-        if finite_levels.size == 0:
-            continue
-        reconstructed = _reconstruct_cuts(cuts, parents, final_index, int(finite_levels[-1]))
-        candidate = design_from_cuts(
-            pilot, reconstructed, second_stage_samples, "neyman", algorithm="dynpgm"
+
+        guesses = []
+        admitted_count = -1
+        for bound, admitted in zip(bounds, admitted_counts):
+            # The mask {weights <= bound} grows monotonically with the bound, so
+            # two guesses admitting the same number of feasible strata admit the
+            # *same* strata and would reconstruct the same design: solve once.
+            if admitted == admitted_count:
+                continue
+            admitted_count = admitted
+            if (weights[final_index, : limits[final_index]] <= bound).any():
+                guesses.append(bound)
+
+        solve = functools.partial(
+            _solve_dp, weights, base_cost, limits, num_strata, float(second_stage_samples)
         )
-        if best_design is None or candidate.objective_value < best_design.objective_value:
-            best_design = candidate
+        # Results arrive in bound order; designs are built and compared here,
+        # on the calling thread, exactly as in a serial loop over the guesses.
+        best_design: StratificationDesign | None = None
+        for parents, final_values in task_map(solve, guesses):
+            finite_levels = np.flatnonzero(np.isfinite(final_values))
+            if finite_levels.size == 0:
+                continue
+            reconstructed = _reconstruct_cuts(cuts, parents, final_index, int(finite_levels[-1]))
+            candidate = design_from_cuts(
+                pilot, reconstructed, second_stage_samples, "neyman", algorithm="dynpgm"
+            )
+            if best_design is None or candidate.objective_value < best_design.objective_value:
+                best_design = candidate
 
     if obs.enabled():
-        obs.record_dynpgm_design(num_cuts, solved)
+        obs.record_dynpgm_design(num_cuts, len(guesses))
     if best_design is None:
         raise InfeasibleDesignError(_NO_FEASIBLE_STRATIFICATION)
     return best_design

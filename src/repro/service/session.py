@@ -586,9 +586,12 @@ class Session:
         """The stratification design LSS would use, from cached scores.
 
         Runs one seeded pilot + design pass over the resident score ordering
-        and returns the layout (cut points, allocation, pilot size).  Designs
-        are cached by ``(workload spec, design knobs)``, the session-level
-        analogue of the score cache.
+        and returns the layout (cut points, allocation, pilot size) and how
+        it was found: ``algorithm`` names the optimizer that produced the
+        design (``None`` on the pilot-only path, which has none) and
+        ``design_fallback`` the fallback LSS took instead of ``optimizer``,
+        or ``None``.  Designs are cached by ``(workload spec, design
+        knobs)``, the session-level analogue of the score cache.
         """
         from repro.core.lss import LearnedStratifiedSampling
 
@@ -632,6 +635,8 @@ class Session:
                 "boundaries": [
                     [int(start), int(end)] for start, end in design.stratum_slices()
                 ] if design is not None else [],
+                "algorithm": design.algorithm if design is not None else None,
+                "design_fallback": details.get("design_fallback"),
                 "digest": estimate_fingerprint(estimate),
             }
             self.stats.requests += 1

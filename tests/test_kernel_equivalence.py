@@ -10,9 +10,14 @@ the experiment fingerprints are byte-exact.
 
 from __future__ import annotations
 
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import repro.core.stratification.dynpgm as dynpgm_module
 from repro.core.stratification.design import InfeasibleDesignError, PilotSample
 from repro.core.stratification.dirsol import dirsol_design, dirsol_design_reference
 from repro.core.stratification.dynpgm import dynpgm_design, dynpgm_design_reference
@@ -213,80 +218,191 @@ def pure_pilot(label: float, population=2_500, pilot_size=45) -> PilotSample:
 
 
 class TestDynPgmEquivalenceGrid:
-    """The blocked DynPgm kernel against the full-square reference DP."""
+    """The blocked DynPgm kernel against the full-square reference DP.
+
+    Every case runs the kernel at each of :data:`POOL_WIDTHS`, so the serial
+    and the threaded paths must both return the reference design.
+    """
 
     @pytest.mark.parametrize("num_strata", [1, 2, 9, 25])
     @pytest.mark.parametrize("child", range(2))
-    def test_strata_counts(self, num_strata, child):
+    def test_strata_counts(self, monkeypatch, num_strata, child):
         pilot = random_pilot(child_rngs(12)[child])
-        fast = dynpgm_design(pilot, num_strata, 60)
-        assert_same_design(fast, dynpgm_design_reference(pilot, num_strata, 60), 60)
+        reference = dynpgm_design_reference(pilot, num_strata, 60)
+        for fast in designs_at_pool_widths(monkeypatch, pilot, num_strata, 60):
+            assert_same_design(fast, reference, 60)
 
     @pytest.mark.parametrize("num_strata", [3, 4, 9])
-    def test_min_pilot_per_stratum_of_lss(self, num_strata):
+    def test_min_pilot_per_stratum_of_lss(self, monkeypatch, num_strata):
         # LSS passes m_⊔ = 5 (its default), the sweep-lss benchmark setting.
         pilot = random_pilot(child_rngs(12)[2], population=6_000, pilot_size=90)
         options = {"min_pilot_per_stratum": 5}
-        fast = dynpgm_design(pilot, num_strata, 200, **options)
         reference = dynpgm_design_reference(pilot, num_strata, 200, **options)
-        assert_same_design(fast, reference, 200)
+        for fast in designs_at_pool_widths(monkeypatch, pilot, num_strata, 200, **options):
+            assert_same_design(fast, reference, 200)
 
     @pytest.mark.slow
-    def test_sweep_lss_shaped_pilot(self):
+    def test_sweep_lss_shaped_pilot(self, monkeypatch):
         # N = 11,800 ordered objects, m = 180 pilot labels, n = 420: about
         # 2,100 candidate cuts, the size of a warm sweep-lss design.
         pilot = random_pilot(child_rngs(12)[3], population=11_800, pilot_size=180)
         options = {"min_pilot_per_stratum": 5}
-        fast = dynpgm_design(pilot, 4, 420, **options)
         reference = dynpgm_design_reference(pilot, 4, 420, **options)
-        assert_same_design(fast, reference, 420)
+        for fast in designs_at_pool_widths(monkeypatch, pilot, 4, 420, **options):
+            assert_same_design(fast, reference, 420)
 
     @pytest.mark.parametrize("label", [0.0, 1.0], ids=["all-negative", "all-positive"])
     @pytest.mark.parametrize("num_strata", [4, 9])
-    def test_pure_pilots(self, label, num_strata):
+    def test_pure_pilots(self, monkeypatch, label, num_strata):
         # Every variance is zero: all objectives tie and argmin order decides.
         pilot = pure_pilot(label)
-        fast = dynpgm_design(pilot, num_strata, 60)
-        assert_same_design(fast, dynpgm_design_reference(pilot, num_strata, 60), 60)
+        reference = dynpgm_design_reference(pilot, num_strata, 60)
+        for fast in designs_at_pool_widths(monkeypatch, pilot, num_strata, 60):
+            assert_same_design(fast, reference, 60)
 
-    def test_unreachable_final_cut_returns_fewer_strata(self):
+    def test_unreachable_final_cut_returns_fewer_strata(self, monkeypatch):
         # Strata of at least 300 objects: at most 8 fit in 2,500.
         pilot = random_pilot(child_rngs(12)[4])
         options = {"min_stratum_size": 300}
-        fast = dynpgm_design(pilot, 9, 60, **options)
         reference = dynpgm_design_reference(pilot, 9, 60, **options)
-        assert fast.num_strata < 9
-        assert_same_design(fast, reference, 60)
+        for fast in designs_at_pool_widths(monkeypatch, pilot, 9, 60, **options):
+            assert fast.num_strata < 9
+            assert_same_design(fast, reference, 60)
 
     @pytest.mark.parametrize("num_strata", [4, 9])
-    def test_small_max_candidates(self, num_strata):
+    def test_small_max_candidates(self, monkeypatch, num_strata):
         pilot = random_pilot(child_rngs(12)[5])
         options = {"max_candidates": 60, "grid_ratio": 0.25}
-        fast = dynpgm_design(pilot, num_strata, 60, **options)
         reference = dynpgm_design_reference(pilot, num_strata, 60, **options)
-        assert_same_design(fast, reference, 60)
+        for fast in designs_at_pool_widths(monkeypatch, pilot, num_strata, 60, **options):
+            assert_same_design(fast, reference, 60)
 
-    def test_weight_equal_to_a_guess_is_admitted(self):
+    def test_weight_equal_to_a_guess_is_admitted(self, monkeypatch):
         # [0, 64) and [64, 128) each hold 4 pilot objects with 1 positive:
         # s = 1/2, so N_h s_h = 32 sits exactly on the guess grid (2^5).
         positions = np.array([17, 37, 52, 55, 70, 90, 95, 125])
         labels = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
         pilot = PilotSample(positions, labels, 128)
         options = {"min_stratum_size": 1, "min_pilot_per_stratum": 4}
-        fast = dynpgm_design(pilot, 2, 8, **options)
         reference = dynpgm_design_reference(pilot, 2, 8, **options)
         np.testing.assert_array_equal(reference.cuts, [0, 64, 128])
-        assert_same_design(fast, reference, 8)
+        for fast in designs_at_pool_widths(monkeypatch, pilot, 2, 8, **options):
+            assert_same_design(fast, reference, 8)
 
     @pytest.mark.parametrize(
         "options", [{"min_stratum_size": 2_501}, {"min_pilot_per_stratum": 46}]
     )
-    def test_infeasible_input_raises_in_both(self, options):
+    def test_infeasible_input_raises_in_both(self, monkeypatch, options):
         pilot = random_pilot(child_rngs(12)[6])
-        with pytest.raises(InfeasibleDesignError):
-            dynpgm_design(pilot, 4, 60, **options)
+        for width in POOL_WIDTHS:
+            monkeypatch.setattr(dynpgm_module, "_usable_cores", lambda width=width: width)
+            with pytest.raises(InfeasibleDesignError):
+                dynpgm_design(pilot, 4, 60, **options)
         with pytest.raises(InfeasibleDesignError):
             dynpgm_design_reference(pilot, 4, 60, **options)
+
+
+#: Design-pool widths of the DynPgm kernel under test: the serial path (the
+#: builtin ``map``) and the thread pool, whatever this host's core count.
+POOL_WIDTHS = (1, 2)
+
+
+def designs_at_pool_widths(monkeypatch, pilot, *args, **options) -> list:
+    """``dynpgm_design`` once per :data:`POOL_WIDTHS`, forced via the core count."""
+    designs = []
+    for width in POOL_WIDTHS:
+        monkeypatch.setattr(dynpgm_module, "_usable_cores", lambda width=width: width)
+        designs.append(dynpgm_design(pilot, *args, **options))
+    return designs
+
+
+def _design_in_child(pilot, connection) -> None:
+    design = dynpgm_design(pilot, 4, 200, min_pilot_per_stratum=5)
+    connection.send((design.cuts.tobytes(), design.objective_value))
+    connection.close()
+
+
+class TestDynPgmThreads:
+    """The design thread pool never changes a design and never outlives a call."""
+
+    @staticmethod
+    def _pilot() -> PilotSample:
+        return random_pilot(child_rngs(12)[7], population=6_000, pilot_size=90)
+
+    def test_tasks_run_on_pool_threads(self, monkeypatch):
+        # Guards the other tests here against a pool that silently runs
+        # everything in the calling thread.
+        pilot = self._pilot()
+        solved_on: set[str] = set()
+        solve = dynpgm_module._solve_dp
+
+        def recording_solve(*args):
+            solved_on.add(threading.current_thread().name)
+            return solve(*args)
+
+        monkeypatch.setattr(dynpgm_module, "_solve_dp", recording_solve)
+        serial, threaded = designs_at_pool_widths(monkeypatch, pilot, 9, 200)
+        assert threading.current_thread().name in solved_on
+        assert any(name.startswith("dynpgm") for name in solved_on)
+        assert_same_design(threaded, serial, 200)
+
+    def test_concurrent_callers_get_the_serial_design(self, monkeypatch):
+        # The estimate server runs LSS requests on its own executor, so two
+        # designs (each with its own pool) may run at once.  Four threads per
+        # design and a short switch interval interleave the tasks that share
+        # the statistics matrices as finely as the interpreter allows.
+        pilot = self._pilot()
+        monkeypatch.setattr(dynpgm_module, "_usable_cores", lambda: 1)
+        serial = dynpgm_design(pilot, 9, 200)
+        monkeypatch.setattr(dynpgm_module, "_usable_cores", lambda: 4)
+        start = threading.Barrier(2)
+        designs: list = [None, None]
+
+        def design(slot: int) -> None:
+            start.wait(timeout=60)
+            designs[slot] = dynpgm_design(pilot, 9, 200)
+
+        callers = [threading.Thread(target=design, args=(slot,)) for slot in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for concurrent in designs:
+            assert_same_design(concurrent, serial, 200)
+
+    def test_fork_after_a_design_is_safe(self, monkeypatch):
+        # The warm pool forks its workers from a process that has already
+        # designed; a pool thread alive at the fork could hold a lock the
+        # child then waits on forever (Python >= 3.12 also warns).
+        monkeypatch.setattr(dynpgm_module, "_usable_cores", lambda: 2)
+        pilot = self._pilot()
+        threads_before = threading.active_count()
+        parent = dynpgm_design(pilot, 4, 200, min_pilot_per_stratum=5)
+        assert threading.active_count() == threads_before
+        assert not any(thread.name.startswith("dynpgm") for thread in threading.enumerate())
+
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_design_in_child, args=(pilot, sender))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(60), "the forked design did not finish"
+            cuts, objective = receiver.recv()
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():  # pragma: no cover - failure cleanup
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert cuts == parent.cuts.tobytes()
+        assert objective == parent.objective_value
 
 
 class TestStratifiedEstimatorKernel:

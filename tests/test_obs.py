@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.core.stratification.dynpgm as dynpgm_module
 from repro import obs
 from repro.core.scores import LearnedScoresSpec
 from repro.core.stratification.design import PilotSample, candidate_boundary_cuts
@@ -175,6 +176,20 @@ class TestDynPgmMetrics:
         # At least one DP, and at most one per guess of the auxiliary-sum grid.
         assert dps["count"] == 1
         assert 1 <= dps["sum"] <= _auxiliary_sum_grid(3_000, 4, 1.0).size
+
+    def test_dps_solved_do_not_depend_on_the_design_threads(self, monkeypatch):
+        pilot = self._pilot()
+        solved = []
+        obs.set_enabled(True)
+        try:
+            for width in (1, 2):
+                monkeypatch.setattr(dynpgm_module, "_usable_cores", lambda width=width: width)
+                obs.reset()
+                dynpgm_design(pilot, 4, 80)
+                solved.append(obs.registry().histogram_summary(obs.DYNPGM_DPS_SOLVED)["sum"])
+        finally:
+            obs.set_enabled(False)
+        assert solved[0] == solved[1] >= 1
 
     def test_design_is_byte_identical_with_obs_on_and_off(self):
         pilot = self._pilot()

@@ -192,6 +192,32 @@ class TestSessionSweep:
                 session.sweep([0.1], "srs", budget=40)
 
 
+class TestSessionDesign:
+    """A served design names the optimizer that produced it and any fallback."""
+
+    def test_plain_dynpgm_design(self, anchor_spec):
+        with Session(anchor_spec) as session:
+            design = session.design(budget=60, seed=0)
+        assert design["algorithm"] == "dynpgm"
+        assert design["design_fallback"] is None
+        assert design["num_strata"] == len(design["allocation"]) == 4
+
+    def test_tiny_budget_reports_the_fixed_height_fallback(self, anchor_spec):
+        # A pilot of 4 objects cannot give one stratum the 5 pilot objects
+        # DynPgm requires, so LSS falls back to fixed-height strata.
+        with Session(anchor_spec) as session:
+            design = session.design(budget=8, seed=0)
+        assert design["pilot_size"] == 4
+        assert design["algorithm"] == "fixed-height"
+        assert design["design_fallback"] == "fixed_height"
+
+    def test_pilot_only_path_has_no_design(self, anchor_spec):
+        with Session(anchor_spec) as session:
+            design = session.design(budget=8, seed=0, num_strata=16)
+        assert design["algorithm"] is None and design["design_fallback"] is None
+        assert design["boundaries"] == []
+
+
 class TestSessionResidency:
     def test_lru_eviction_rebuilds_byte_identically(self):
         neighbors = WorkloadSpec(
