@@ -199,8 +199,9 @@ class LearnedStratifiedSampling:
         for both a pilot and a per-stratum second stage, so the whole
         sampling budget becomes one simple random sample over the unlabelled
         remainder — an unbiased estimate with a valid interval, combined
-        with the exactly-known learning-phase positives as usual.  With obs
-        enabled the fallback is counted as
+        with the exactly-known learning-phase positives as usual.  The
+        fallback is recorded as ``details["design_fallback"] = "pilot_only"``
+        and, with obs enabled, counted as
         ``repro_estimator_fallbacks_total{kind="pilot_only"}``.
         """
         if obs.enabled():
@@ -224,6 +225,7 @@ class LearnedStratifiedSampling:
             count_offset=learning_positives,
             details={
                 "degenerate": "pilot-only",
+                "design_fallback": "pilot_only",
                 "learning_count": learning_count,
                 "learning_positives": learning_positives,
                 "pilot_size": take,

@@ -12,7 +12,8 @@ unchanged over
 * :class:`SqliteBackend` — a real SQL engine: the table is materialised into
   sqlite3 and the built-in :class:`~repro.query.predicates.NeighborCountPredicate`
   / :class:`~repro.query.predicates.SkybandPredicate` are pushed down as
-  correlated COUNT subqueries (Q3 exactly as a database would run it);
+  correlated COUNT subqueries that stop at the predicate's threshold (Q3 as
+  a database would run it);
 * :class:`ChunkedBackend` — out-of-core-oriented streaming: feature blocks
   and predicate evaluations are driven through fixed-size row blocks, so the
   per-call working set stays bounded by the chunk size rather than the index
@@ -357,11 +358,15 @@ class _PushdownPlan:
 
     ``label_expression`` computes the 0/1 label of the row aliased ``o1``
     as a correlated subquery; ``parameters`` are its positional bindings.
+    ``index_columns`` names the covering index the subquery reads: the
+    range probe walks its leading column and every other column it needs
+    (the rest of the index plus ``rowidx``, the rowid every sqlite index
+    carries) is read from the index entry, never from the table row.
     """
 
     label_expression: str
-    parameters: tuple[float, ...]
-    index_column: str | None = None
+    parameters: tuple[float | int, ...]
+    index_columns: tuple[str, ...]
 
 
 def _neighbor_plan(table: Table, predicate: NeighborCountPredicate, name: str) -> _PushdownPlan:
@@ -376,29 +381,49 @@ def _neighbor_plan(table: Table, predicate: NeighborCountPredicate, name: str) -
     max_abs = float(np.max(np.abs(x_values))) if x_values.size else 0.0
     slack = 1e-9 * (max_abs + predicate.distance + 1.0)
     width = predicate.distance + slack
+    # Threshold early exit.  The inner SELECT stops after L = k + 1 matching
+    # neighbours, so the outer COUNT sees min(c, L) for a true count c.  That
+    # is exact: if c <= k then min(c, L) = c <= k, and if c > k then
+    # min(c, L) = k + 1 > k, so ``min(c, L) <= k`` holds exactly when
+    # ``c <= k``.  Which L neighbours the scan happens to meet first does not
+    # matter, so the label is the same in any scan order.
     expression = (
-        f"(SELECT COUNT(*) FROM {name} o2"
+        f"(SELECT COUNT(*) FROM (SELECT 1 FROM {name} o2"
         f" WHERE o2.{x} >= o1.{x} - ? AND o2.{x} <= o1.{x} + ?"
         f" AND o2.rowidx != o1.rowidx"
         f" AND ((o2.{x} - o1.{x}) * (o2.{x} - o1.{x})"
-        f" + (o2.{y} - o1.{y}) * (o2.{y} - o1.{y})) <= ?) <= ?"
+        f" + (o2.{y} - o1.{y}) * (o2.{y} - o1.{y})) <= ? LIMIT ?)) <= ?"
     )
     # ``distance**2`` is scalar pow, matching the kernels' ``radius**2``.
-    parameters = (width, width, predicate.distance**2, float(predicate.max_neighbors))
-    return _PushdownPlan(expression, parameters, index_column=predicate.x_column)
+    parameters = (
+        width,
+        width,
+        predicate.distance**2,
+        predicate.max_neighbors + 1,
+        float(predicate.max_neighbors),
+    )
+    return _PushdownPlan(
+        expression, parameters, index_columns=(predicate.x_column, predicate.y_column)
+    )
 
 
 def _skyband_plan(predicate: SkybandPredicate, name: str) -> _PushdownPlan:
     x = quote_identifier(predicate.x_column)
     y = quote_identifier(predicate.y_column)
     # Pure comparisons; the row itself fails the strict clause, exactly as in
-    # ``dominance_count_single``, so no rowidx exclusion is needed.
+    # ``dominance_count_single``, so no rowidx exclusion is needed.  The same
+    # early exit as the neighbour plan with L = k: min(c, k) < k exactly
+    # when c < k.
     expression = (
-        f"(SELECT COUNT(*) FROM {name} o2"
+        f"(SELECT COUNT(*) FROM (SELECT 1 FROM {name} o2"
         f" WHERE o2.{x} >= o1.{x} AND o2.{y} >= o1.{y}"
-        f" AND (o2.{x} > o1.{x} OR o2.{y} > o1.{y})) < ?"
+        f" AND (o2.{x} > o1.{x} OR o2.{y} > o1.{y}) LIMIT ?)) < ?"
     )
-    return _PushdownPlan(expression, (float(predicate.k),))
+    return _PushdownPlan(
+        expression,
+        (max(predicate.k, 0), float(predicate.k)),
+        index_columns=(predicate.x_column, predicate.y_column),
+    )
 
 
 class SqliteBackend(QueryBackend):
@@ -412,9 +437,11 @@ class SqliteBackend(QueryBackend):
       differential debugging of the levels below).
     * ``"counts"`` (default) — the two built-in predicates are pushed down
       as correlated COUNT subqueries — batched per-object probes and a
-      single bulk pass for ground truth — with an index on the neighbour
-      predicate's x column so the correlated scan uses a range probe
-      instead of a full scan per object.
+      single bulk pass for ground truth.  Each subquery stops counting once
+      its threshold is decided (``max_neighbors + 1`` neighbours, ``k``
+      dominators) and is served from one covering ``(x, y)`` index: a range
+      probe on x instead of a full scan per object, with y and ``rowidx``
+      read from the index entries.
     * ``"full"`` — everything ``counts`` does, plus estimator-stage
       pushdown: strata layouts are materialised in-database with
       ``ROW_NUMBER``/``NTILE`` window functions and seeded draw orders as
@@ -481,10 +508,11 @@ class SqliteBackend(QueryBackend):
             self._plan = _skyband_plan(predicate, quoted)
         else:
             self._plan = None
-        if self._plan is not None and self._plan.index_column is not None:
+        if self._plan is not None:
+            columns = ", ".join(quote_identifier(c) for c in self._plan.index_columns)
             self.connection.execute(
                 f"CREATE INDEX IF NOT EXISTS {quote_identifier('ix_' + self.table_name)} "
-                f"ON {quoted} ({quote_identifier(self._plan.index_column)})"
+                f"ON {quoted} ({columns})"
             )
         self._quoted_name = quoted
 

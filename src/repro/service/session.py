@@ -589,9 +589,11 @@ class Session:
         and returns the layout (cut points, allocation, pilot size) and how
         it was found: ``algorithm`` names the optimizer that produced the
         design (``None`` on the pilot-only path, which has none) and
-        ``design_fallback`` the fallback LSS took instead of ``optimizer``,
-        or ``None``.  Designs are cached by ``(workload spec, design
-        knobs)``, the session-level analogue of the score cache.
+        ``design_fallback`` the fallback LSS took instead of ``optimizer``
+        (``"fixed_height"`` or ``"pilot_only"``, the ``kind`` tokens of
+        ``repro_estimator_fallbacks_total``), or ``None``.  Designs are
+        cached by ``(workload spec, design knobs)``, the session-level
+        analogue of the score cache.
         """
         from repro.core.lss import LearnedStratifiedSampling
 

@@ -668,6 +668,191 @@ def test_property_lws_pushdown_parity(data, table):
     assert len(fingerprints) == 1
 
 
+# -- threshold early exit: boundary parity -------------------------------------
+#: Hand-built neighbour table for ``distance=5``.  Integer coordinates keep
+#: every squared distance exact in float64, so "exactly on the radius" means
+#: the same thing to numpy's bulk sweep, its batch kernel and sqlite.
+#: Groups sit 100 apart, so no pair across groups is within the radius.
+_NEIGHBOR_POINTS = (
+    # a duplicate pair plus a point at exactly distance 5: every count is 2
+    (0, 0), (0, 0), (3, 4),
+    # four points within 3 of each other: every count is 3
+    (100, 0), (101, 0), (102, 0), (103, 0),
+    # a chain with links of exactly 5: counts 1, 2, 1
+    (200, 0), (205, 0), (210, 0),
+    # an isolated point: count 0
+    (300, 0),
+    # counts 3 where one of the three neighbours sits exactly on the radius
+    (500, 0), (500, 0), (501, 0), (505, 0),
+    # five points within 4 of each other: every count is 4
+    (600, 0), (601, 0), (602, 0), (603, 0), (604, 0),
+)
+
+#: Hand-built skyband table: ties on x (and on y), duplicate points that do
+#: not dominate each other, and a full dominance chain.
+_SKYBAND_POINTS = (
+    (1, 1), (1, 2), (1, 3), (2, 1), (2, 1), (3, 0), (0, 3),
+    (2, 2), (3, 3), (3, 3), (4, 1), (1, 4), (0, 0), (4, 4), (4, 3), (0, 5), (0, 4),
+)
+
+#: pushdown levels whose labels come out of the early-exit SQL.
+_SQL_LABEL_SPECS = ("sqlite", "sqlite:pushdown=full")
+
+
+def _points_table(points, name):
+    coordinates = np.asarray(points, dtype=np.float64)
+    return Table({"x": coordinates[:, 0], "y": coordinates[:, 1]}, name=name)
+
+
+def _integer_grid_table(seed, rows=150, span=6):
+    grid = np.random.default_rng(seed).integers(0, span, size=(rows, 2))
+    return _points_table(grid, f"grid{seed}")
+
+
+def _dominator_counts(table):
+    x, y = table["x"], table["y"]
+    dominates = (
+        (x[None, :] >= x[:, None])
+        & (y[None, :] >= y[:, None])
+        & ((x[None, :] > x[:, None]) | (y[None, :] > y[:, None]))
+    )
+    return dominates.sum(axis=1)
+
+
+class TestThresholdBoundaryParity:
+    """The SQL stops counting at the threshold; labels must not notice.
+
+    The neighbour subquery stops after ``max_neighbors + 1`` matches and
+    the skyband subquery after ``k``; both are exact only if the limit is
+    one past the last count that still passes.  These tables put objects
+    exactly on the count threshold (k and k + 1 neighbours, k - 1 and k
+    dominators) and on the radius, and compare every SQL label path with
+    numpy: probe batches, ground truth and a ``full``-level stage.
+    """
+
+    @staticmethod
+    def _assert_sql_paths_match_numpy(table, predicate):
+        reference = NumpyBackend(table, predicate)
+        expected = reference.evaluate_all()
+        rng = np.random.default_rng(5)
+        # shuffled, with repeats, so batches are not in rowidx order
+        probe = rng.permutation(np.concatenate([np.arange(table.num_rows)] * 2))
+        objects = rng.permutation(table.num_rows)
+        scores = rng.random(table.num_rows)
+        for spec in _SQL_LABEL_SPECS:
+            backend = make_backend(spec, table, predicate)
+            try:
+                assert CAP_PREDICATE_PUSHDOWN in backend.capabilities()
+                assert backend.evaluate_all().tobytes() == expected.tobytes(), spec
+                assert backend.evaluate(probe).tobytes() == expected[probe].tobytes(), spec
+                if CAP_STRATA_PUSHDOWN not in backend.capabilities():
+                    continue
+                layout = backend.materialize_layout(objects, scores, 3)
+                try:
+                    staged, _, labels = backend.evaluate_layout(
+                        layout, np.arange(table.num_rows)
+                    )
+                finally:
+                    layout.close()
+                assert labels.tobytes() == expected[staged].tobytes(), spec
+                permutation = backend.materialize_permutation(
+                    objects, rng.permutation(table.num_rows)
+                )
+                try:
+                    drawn, labels = backend.evaluate_permutation(permutation, table.num_rows)
+                finally:
+                    permutation.close()
+                assert labels.tobytes() == expected[drawn].tobytes(), spec
+            finally:
+                backend.close()
+
+    @pytest.mark.parametrize("max_neighbors", [0, 1, 2, 3])
+    def test_neighbor_counts_at_the_threshold(self, max_neighbors):
+        table = _points_table(_NEIGHBOR_POINTS, "boundary")
+        predicate = NeighborCountPredicate("x", "y", max_neighbors=max_neighbors, distance=5.0)
+        counts = predicate.neighbor_counts(table)
+        # the table really has objects on both sides of the threshold
+        assert {max_neighbors, max_neighbors + 1} <= set(counts.tolist())
+        self._assert_sql_paths_match_numpy(table, predicate)
+
+    def test_neighbor_on_the_radius_counts(self):
+        # (505, 0) is exactly 5 from both (500, 0) duplicates: with them it
+        # has 3 neighbours and fails ``<= 2``; a strict radius would pass it.
+        table = _points_table(_NEIGHBOR_POINTS, "boundary")
+        predicate = NeighborCountPredicate("x", "y", max_neighbors=2, distance=5.0)
+        backend = make_backend("sqlite", table, predicate)
+        try:
+            assert backend.evaluate(np.array([14, 2])).tolist() == [0.0, 1.0]
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("max_neighbors", [0, 2, 4])
+    @pytest.mark.parametrize("distance", [1.0, 2.0])
+    def test_neighbor_integer_grids(self, seed, max_neighbors, distance):
+        table = _integer_grid_table(seed)
+        predicate = NeighborCountPredicate(
+            "x", "y", max_neighbors=max_neighbors, distance=distance
+        )
+        self._assert_sql_paths_match_numpy(table, predicate)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_skyband_counts_at_the_threshold(self, k):
+        table = _points_table(_SKYBAND_POINTS, "boundary")
+        counts = _dominator_counts(table)
+        assert {k - 1, k} <= set(counts.tolist())
+        self._assert_sql_paths_match_numpy(table, SkybandPredicate("x", "y", k=k))
+
+    def test_skyband_k_beyond_table_size(self):
+        # At most N - 1 dominators exist, so every object passes.
+        table = _points_table(_SKYBAND_POINTS, "boundary")
+        predicate = SkybandPredicate("x", "y", k=table.num_rows + 5)
+        assert NumpyBackend(table, predicate).evaluate_all().min() == 1.0
+        self._assert_sql_paths_match_numpy(table, predicate)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_skyband_integer_grids(self, seed, k):
+        self._assert_sql_paths_match_numpy(
+            _integer_grid_table(seed, span=4), SkybandPredicate("x", "y", k=k)
+        )
+
+    @pytest.mark.parametrize("predicate", [
+        NeighborCountPredicate("x", "y", max_neighbors=2, distance=5.0),
+        SkybandPredicate("x", "y", k=2),
+    ], ids=["neighbors", "skyband"])
+    def test_both_predicates_read_one_covering_index(self, predicate):
+        table = _points_table(_NEIGHBOR_POINTS, "boundary")
+        backend = SqliteBackend(table, predicate)
+        try:
+            connection = backend.connection
+            indexes = [row[1] for row in connection.execute('PRAGMA index_list("boundary")')]
+            assert len(indexes) == 1
+            columns = [
+                row[2] for row in connection.execute(f'PRAGMA index_info("{indexes[0]}")')
+            ]
+            assert columns == ["x", "y"]
+            plan = backend._plan
+            for sql, bindings in (
+                (
+                    f"SELECT o1.rowidx, {plan.label_expression} "
+                    'FROM "boundary" o1 WHERE o1.rowidx IN (?, ?)',
+                    (*plan.parameters, 0, 3),
+                ),
+                (
+                    f'SELECT {plan.label_expression} FROM "boundary" o1 ORDER BY o1.rowidx',
+                    plan.parameters,
+                ),
+            ):
+                details = [
+                    row[-1] for row in connection.execute(f"EXPLAIN QUERY PLAN {sql}", bindings)
+                ]
+                probes = [line for line in details if " o2 " in f"{line} "]
+                assert probes and all("COVERING INDEX" in line for line in probes), details
+        finally:
+            backend.close()
+
+
 # -- SQL round-trip accounting under pushdown ----------------------------------
 class TestStageQueryAccounting:
     """Under ``pushdown=full`` each estimator stage costs one aggregate query."""

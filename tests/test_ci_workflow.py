@@ -65,6 +65,13 @@ class TestWorkflowStructure:
             s for s in steps if "repro.experiments.parity" in str(s.get("run", ""))
         )
         assert str(parity_step.get("name", "")).lower() == "backend parity"
+        # Both pushed-down predicates are audited: the default dataset
+        # (neighbors) runs the neighbour-count SQL, sports the skyband SQL.
+        commands = [line.strip() for line in str(parity_step["run"]).splitlines()]
+        assert "PYTHONPATH=src python -m repro.experiments.parity" in commands
+        assert (
+            "PYTHONPATH=src python -m repro.experiments.parity --dataset sports" in commands
+        )
 
     def test_fast_job_runs_service_smoke(self, workflow):
         # The service smoke gate: every push/PR boots the estimate server,

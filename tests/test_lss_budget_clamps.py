@@ -152,6 +152,7 @@ class TestFallbackCounter:
             assert estimate.details["design_fallback"] == "fixed_height"
         elif kind == "pilot_only":
             assert estimate.details["degenerate"] == "pilot-only"
+            assert estimate.details["design_fallback"] == "pilot_only"
         self._assert_obs_invisible(estimate, estimator, workload.query, budget, seed)
 
     @pytest.mark.parametrize(

@@ -214,7 +214,8 @@ class TestSessionDesign:
     def test_pilot_only_path_has_no_design(self, anchor_spec):
         with Session(anchor_spec) as session:
             design = session.design(budget=8, seed=0, num_strata=16)
-        assert design["algorithm"] is None and design["design_fallback"] is None
+        assert design["algorithm"] is None
+        assert design["design_fallback"] == "pilot_only"
         assert design["boundaries"] == []
 
 
