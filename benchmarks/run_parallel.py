@@ -40,13 +40,14 @@ from repro import obs  # noqa: E402
 from repro.obs.export import group_stage_totals, stage_totals  # noqa: E402
 from repro.parallel import (  # noqa: E402
     MethodSpec,
-    ParallelTrialRunner,
     WarmPool,
     available_workers,
     default_start_method,
     estimates_fingerprint,
+    trial_tasks,
 )
 from repro.workloads.queries import Workload, build_workload  # noqa: E402
+from repro.workloads.runner import TrialRunner  # noqa: E402
 
 DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_parallel.json"
 
@@ -70,13 +71,7 @@ BASELINE_TOLERANCE = 0.8
 def _sweep_serial(workload: Workload, budget: int, trials: int) -> dict[str, dict]:
     results: dict[str, dict] = {}
     for method in METHODS:
-        runner = ParallelTrialRunner(
-            workload_spec=workload.spec,
-            num_trials=trials,
-            seed=MASTER_SEED,
-            workers=1,
-            workload=workload,
-        )
+        runner = TrialRunner(workload=workload, num_trials=trials, seed=MASTER_SEED)
         started = time.perf_counter()
         runner.run(method, MethodSpec(method), budget)
         results[method] = {
@@ -95,20 +90,13 @@ def _sweep_warm(
     with WarmPool(workload, workers=workers) as pool:
         pool.warm_up()
         startup_seconds = time.perf_counter() - started
+        tasks = trial_tasks(MASTER_SEED, trials, budget)
         for method in METHODS:
-            runner = ParallelTrialRunner(
-                workload_spec=workload.spec,
-                num_trials=trials,
-                seed=MASTER_SEED,
-                workers=workers,
-                workload=workload,
-                pool=pool,
-            )
             method_started = time.perf_counter()
-            runner.run(method, MethodSpec(method), budget)
+            records = pool.run(MethodSpec(method), tasks)
             results[method] = {
                 "seconds": time.perf_counter() - method_started,
-                "fingerprint": estimates_fingerprint(runner.estimates[method]),
+                "fingerprint": estimates_fingerprint(record.to_estimate() for record in records),
             }
     return results, startup_seconds
 

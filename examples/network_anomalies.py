@@ -17,7 +17,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
-from repro.experiments.common import make_trial_function, run_distribution
+from repro.experiments.common import MethodSpec, run_distribution
 from repro.experiments.report import print_table
 from repro.workloads import build_neighbors_workload
 
@@ -35,9 +35,13 @@ def main() -> None:
 
     rows = []
     for classifier in CLASSIFIERS:
-        trial = make_trial_function("lss", classifier_name=classifier)
         distribution = run_distribution(
-            workload, f"lss-{classifier}", trial, fraction=0.02, num_trials=9, seed=99
+            workload,
+            f"lss-{classifier}",
+            MethodSpec("lss", classifier_name=classifier),
+            fraction=0.02,
+            num_trials=9,
+            seed=99,
         )
         row = distribution.as_row()
         row["classifier"] = classifier

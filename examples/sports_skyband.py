@@ -15,7 +15,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
-from repro.experiments.common import make_trial_function, run_distribution
+from repro.experiments.common import MethodSpec, run_distribution
 from repro.experiments.report import print_table
 from repro.workloads import build_sports_workload
 
@@ -33,9 +33,8 @@ def main() -> None:
 
     rows = []
     for method in METHODS:
-        trial = make_trial_function(method)
         distribution = run_distribution(
-            workload, method, trial, fraction=0.02, num_trials=9, seed=2019
+            workload, method, MethodSpec(method), fraction=0.02, num_trials=9, seed=2019
         )
         rows.append(distribution.as_row())
     print_table(rows, title="Estimate distributions (tighter IQR is better)")

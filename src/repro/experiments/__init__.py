@@ -17,7 +17,6 @@ from repro.experiments.figure5 import run_figure5_sample_split
 from repro.experiments.figure6 import run_figure6_classifier_quality
 from repro.experiments.figure7 import run_figure7_ql_classifiers
 from repro.experiments.figure8 import run_figure8_ql_methods
-from repro.experiments.parity import run_backend_parity
 from repro.experiments.report import format_table
 from repro.experiments.table1 import run_table1_selectivity
 
@@ -35,7 +34,6 @@ __all__ = [
     "run_figure5_sample_split",
     "run_figure6_classifier_quality",
     "run_figure7_ql_classifiers",
-    "run_backend_parity",
     "run_figure8_ql_methods",
     "run_optimizer_ablation",
     "run_table1_selectivity",

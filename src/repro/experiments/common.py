@@ -2,17 +2,14 @@
 
 The drivers describe each estimator configuration as a pickle-safe
 :class:`~repro.parallel.methods.MethodSpec` and hand it to
-:func:`run_distribution`, which routes the trial loop through the serial
-:class:`~repro.workloads.runner.TrialRunner` or — when ``workers > 1`` —
-through the deterministic parallel engine.  Results are byte-identical for
-any worker count.
+:func:`run_distribution`, which runs the trial loop through
+:class:`~repro.workloads.runner.TrialRunner` — in-process, or on the warm
+worker pool when ``workers > 1``.  Results are byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.core.estimate import CountEstimate
 from repro.experiments.config import ExperimentScale
 from repro.parallel.methods import MethodSpec, classifier_factory
 from repro.workloads.metrics import EstimateDistribution
@@ -24,7 +21,6 @@ __all__ = [
     "build_scaled_workload",
     "classifier_factory",
     "distribution_row",
-    "make_trial_function",
     "run_distribution",
     "shared_session",
 ]
@@ -89,36 +85,10 @@ def build_scaled_workload(
     )
 
 
-def make_trial_function(
-    method: str,
-    num_strata: int = 4,
-    classifier_name: str = "rf",
-    learning_fraction: float = 0.25,
-    optimizer: str = "dynpgm",
-    active_learning_rounds: int = 0,
-    backend: str | None = None,
-) -> Callable[[Workload, object, int], CountEstimate]:
-    """Build a ``run_trial(workload, rng, budget)`` callable.
-
-    Kept as a thin wrapper over :class:`MethodSpec` for callers that want a
-    plain closure; the drivers themselves pass specs so the trials can also
-    run in worker processes.
-    """
-    return MethodSpec(
-        method=method,
-        num_strata=num_strata,
-        classifier_name=classifier_name,
-        learning_fraction=learning_fraction,
-        optimizer=optimizer,
-        active_learning_rounds=active_learning_rounds,
-        backend=backend,
-    ).build_trial_function()
-
-
 def run_distribution(
     workload: Workload,
     method_label: str,
-    trial: MethodSpec | Callable[[Workload, object, int], CountEstimate],
+    method_spec: MethodSpec,
     fraction: float,
     num_trials: int,
     seed: int,
@@ -126,21 +96,13 @@ def run_distribution(
 ) -> EstimateDistribution:
     """Run repeated trials of one configuration and summarise them.
 
-    ``trial`` is either a :class:`MethodSpec` (parallelisable) or a legacy
-    ``run_trial(workload, rng, budget)`` callable (always serial).  With
-    ``workers > 1`` a spec-described method is sharded across the warm
-    worker pool (shared-memory dataset pages, persistent workers — see
+    With ``workers > 1`` the trials are sharded across the warm worker pool
+    (shared-memory dataset pages, persistent workers — see
     :mod:`repro.parallel.pool`); the estimates — and therefore the summary —
     are byte-identical to the serial run with the same seed.
     """
-    budget = workload.sample_size(fraction)
-    if isinstance(trial, MethodSpec):
-        runner = TrialRunner(
-            workload=workload, num_trials=num_trials, seed=seed, workers=workers
-        )
-        return runner.run_method(method_label, trial, budget)
-    runner = TrialRunner(workload=workload, num_trials=num_trials, seed=seed)
-    return runner.run(method_label, lambda wl, rng: trial(wl, rng, budget))
+    runner = TrialRunner(workload=workload, num_trials=num_trials, seed=seed, workers=workers)
+    return runner.run(method_label, method_spec, workload.sample_size(fraction))
 
 
 def distribution_row(

@@ -183,7 +183,7 @@ def run_backend_parity(
             # schema and the workload spec strings parse them.
             method_spec = parse_method_spec(method)
             runner = TrialRunner(workload=workload, num_trials=num_trials, seed=master_seed)
-            runner.run_method(method, method_spec, budget)
+            runner.run(method, method_spec, budget)
             estimates = runner.estimates[method]
             row = MethodParity(
                 method=method,

@@ -153,7 +153,12 @@ def record_fallback(method: str, kind: str) -> None:
 
 
 def record_rows_scanned(rows: int, backend: str) -> None:
-    """Backend-level scan accounting (rows touched to answer predicates)."""
+    """Backend-level accounting of objects labelled (or read) by one call.
+
+    Despite the metric's name, ``rows`` is the number of objects a backend
+    call answers for, not the rows its engine visits: index reads and
+    early-exit plans do not change it.
+    """
     registry().inc(BACKEND_ROWS_SCANNED, float(rows), backend=backend)
 
 

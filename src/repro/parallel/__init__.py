@@ -9,7 +9,10 @@ makes parallelism a pure performance knob:
   persistent worker pool whose workers attach zero-copy to shared-memory
   dataset pages (:mod:`~repro.parallel.shm`), resolve the workload **once**
   at start-up, and then stream compact trial tasks; pools are shared
-  process-wide so a multi-method sweep pays start-up once.
+  process-wide so a multi-method sweep pays start-up once.  The one trial
+  loop over it is :class:`~repro.workloads.runner.TrialRunner`, whose
+  ``workers=`` knob picks in-process or warm-pool execution; results are
+  byte-identical to serial execution for the same master seed.
 * :mod:`~repro.parallel.shm` — publishes dataset columns, label caches and
   npz-cache pages into ``multiprocessing.shared_memory`` segments with a
   tiny picklable manifest, with pid-guarded unlink-on-exit hygiene.
@@ -20,12 +23,8 @@ makes parallelism a pure performance knob:
 * :class:`~repro.parallel.methods.MethodSpec` /
   :class:`~repro.workloads.queries.WorkloadSpec` /
   :class:`~repro.parallel.tasks.TrialTask` — pickle-safe descriptions of
-  what to run, so closures never cross process boundaries.
-* :class:`~repro.parallel.runner.ParallelTrialRunner` — shards trials over
-  the warm pool's workers using the same per-trial child streams as the
-  serial runner and reduces compact per-trial records (or bare fingerprint
-  digests, via ``run_fingerprints``) into the usual distribution summaries.
-  Results are byte-identical to serial execution for the same master seed.
+  what to run, so closures never cross process boundaries;
+  :func:`~repro.parallel.tasks.trial_tasks` builds one seeded run's tasks.
 * :mod:`~repro.parallel.fingerprint` — byte-exact estimate fingerprints
   used to audit that guarantee.
 """
@@ -43,7 +42,6 @@ from repro.parallel.fingerprint import (
     estimate_digest,
     estimate_fingerprint,
     estimates_fingerprint,
-    fingerprints_digest,
     task_fingerprint,
 )
 from repro.parallel.methods import METHODS, MethodSpec, classifier_factory
@@ -55,7 +53,6 @@ from repro.parallel.pool import (
     dispatch_chunk_size,
     shared_pool,
 )
-from repro.parallel.runner import ParallelTrialRunner, run_trials_parallel
 from repro.parallel.shm import (
     PageManifest,
     attach_pages,
@@ -68,7 +65,6 @@ from repro.parallel.shm import (
 from repro.parallel.tasks import (
     ChunkCorruptionError,
     ChunkEnvelope,
-    TrialFingerprint,
     TrialResult,
     TrialTask,
     clear_workload_cache,
@@ -76,6 +72,7 @@ from repro.parallel.tasks import (
     open_chunk,
     run_single_trial,
     seal_chunk,
+    trial_tasks,
 )
 from repro.workloads.queries import WorkloadSpec
 
@@ -87,8 +84,6 @@ __all__ = [
     "METHOD_COST_HINTS",
     "MethodSpec",
     "PageManifest",
-    "ParallelTrialRunner",
-    "TrialFingerprint",
     "TrialResult",
     "TrialTask",
     "WarmPool",
@@ -105,7 +100,6 @@ __all__ = [
     "estimate_fingerprint",
     "estimates_fingerprint",
     "execute_trials",
-    "fingerprints_digest",
     "open_chunk",
     "ordered_map",
     "pages_alive",
@@ -117,8 +111,8 @@ __all__ = [
     "reset_oversubscription_warning",
     "resolve_worker_count",
     "run_single_trial",
-    "run_trials_parallel",
     "shared_pool",
     "table_from_pages",
     "task_fingerprint",
+    "trial_tasks",
 ]

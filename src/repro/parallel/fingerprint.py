@@ -32,12 +32,7 @@ def _pack_int(value: int) -> bytes:
 
 
 def estimate_digest(estimate: CountEstimate) -> bytes:
-    """Raw 32-byte digest of one estimate (the compact wire form).
-
-    The warm pool's fingerprint result mode ships exactly these bytes back
-    from the workers — 32 bytes per trial instead of a whole result record —
-    when the caller only needs equivalence verification.
-    """
+    """Raw 32-byte digest of every deterministic field of one estimate."""
     digest = hashlib.sha256()
     digest.update(estimate.method.encode())
     digest.update(_pack_float(estimate.count))
@@ -64,20 +59,9 @@ def estimate_fingerprint(estimate: CountEstimate) -> str:
 
 def estimates_fingerprint(estimates: Iterable[CountEstimate]) -> str:
     """Hex digest over an ordered sequence of estimates (one experiment)."""
-    return fingerprints_digest(estimate_digest(estimate) for estimate in estimates)
-
-
-def fingerprints_digest(digests: Iterable[bytes]) -> str:
-    """Combine ordered per-trial digest bytes into one experiment fingerprint.
-
-    Defined so that ``fingerprints_digest(map(estimate_digest, estimates))``
-    equals ``estimates_fingerprint(estimates)`` — a fingerprint-mode warm
-    pool run (which ships only digest bytes) is directly comparable to a
-    serial run that kept the full estimates.
-    """
     combined = hashlib.sha256()
-    for digest in digests:
-        combined.update(digest.hex().encode())
+    for estimate in estimates:
+        combined.update(estimate_digest(estimate).hex().encode())
     return combined.hexdigest()
 
 

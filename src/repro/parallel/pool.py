@@ -16,16 +16,16 @@ early benchmark recorded a 0.52x "speedup" at 4 workers.
   then holds it for its lifetime;
 * every subsequent dispatch streams only compact
   :class:`~repro.parallel.tasks.TrialTask` descriptors (a trial index, a
-  seed descriptor, a budget) and receives either result records or, for
-  verification-only callers, 32-byte fingerprint digests back;
+  seed descriptor, a budget) and receives compact result records back;
 * chunk sizing is aware of per-trial cost, not just trial count: cheap
   methods ship few large chunks (dispatch overhead dominates), expensive
   methods ship many small ones (stragglers dominate).
 
-Determinism is untouched: workers execute the same
-:func:`~repro.parallel.tasks.execute_trials` path as serial runs, trial
-``i`` draws child stream ``i``, and the equivalence suite holds the results
-byte-identical across worker counts, chunkings and start methods.
+Determinism is untouched: workers run each trial through the same
+:func:`~repro.parallel.tasks.run_single_trial` as the serial
+:class:`~repro.workloads.runner.TrialRunner`, trial ``i`` draws child
+stream ``i``, and the equivalence suite holds the results byte-identical
+across worker counts, chunkings and start methods.
 """
 from __future__ import annotations
 
@@ -59,7 +59,6 @@ from repro.parallel.shm import (
 from repro.parallel.tasks import (
     ChunkCorruptionError,
     ChunkEnvelope,
-    TrialFingerprint,
     TrialResult,
     TrialTask,
     execute_trials,
@@ -154,7 +153,6 @@ class ObsChunkResult:
 def _warm_execute_chunk(
     method_spec: MethodSpec,
     tasks: tuple[TrialTask, ...],
-    result_mode: str,
     ship_obs: bool = False,
     fault: ChunkFault | None = None,
 ) -> ChunkEnvelope:
@@ -180,7 +178,7 @@ def _warm_execute_chunk(
     if workload is None:  # pragma: no cover - initializer contract violation
         raise RuntimeError("warm worker has no resolved workload; initializer did not run")
     if not ship_obs:
-        payload: object = execute_trials(workload, method_spec, tasks, result_mode=result_mode)
+        payload: object = execute_trials(workload, method_spec, tasks)
     else:
         # The parent has observability on; mirror it for this chunk so the
         # worker-side instrumentation (stage spans, oracle accounting) records
@@ -190,7 +188,7 @@ def _warm_execute_chunk(
         registry.reset()
         started = time.perf_counter()
         try:
-            results = execute_trials(workload, method_spec, tasks, result_mode=result_mode)
+            results = execute_trials(workload, method_spec, tasks)
         finally:
             obs.set_enabled(was_enabled)
         payload = ObsChunkResult(
@@ -374,14 +372,9 @@ class WarmPool:
         self,
         method_spec: MethodSpec,
         tasks: Sequence[TrialTask],
-        result_mode: str = "estimates",
         chunk_size: int | None = None,
-    ) -> list[TrialResult] | list[TrialFingerprint]:
-        """Stream task chunks to the warm workers; gather results in order.
-
-        ``result_mode="fingerprints"`` makes workers buffer each trial down
-        to its 32-byte digest — the verification path, where shipping whole
-        result objects would be pure overhead.
+    ) -> list[TrialResult]:
+        """Stream task chunks to the warm workers; gather results in task order.
 
         Failure handling is self-healing and byte-safe: a chunk lost to a
         dead worker (``BrokenProcessPool``), a hung worker (``chunk_timeout``
@@ -430,8 +423,7 @@ class WarmPool:
                     fault = plan.arm_chunk() if plan is not None else None
                     attempts[index] += 1
                     future = executor.submit(
-                        _warm_execute_chunk, method_spec, chunks[index], result_mode,
-                        ship_obs, fault,
+                        _warm_execute_chunk, method_spec, chunks[index], ship_obs, fault
                     )
                     if ship_obs:
                         submitted_at[future] = time.perf_counter()
@@ -555,11 +547,11 @@ _SHARED_POOL_LIMIT = 2
 def shared_pool(workload: Workload, workers: int, start_method: str | None = None) -> WarmPool:
     """A process-wide :class:`WarmPool` for ``(workload.spec, workers)``.
 
-    The pool stays warm across :class:`~repro.parallel.runner.
-    ParallelTrialRunner` instances — the whole point: a figure driver
-    sweeping four methods over one workload creates four runners but pays
-    for one pool and one set of shared pages.  Do **not** close the
-    returned pool; call :func:`close_shared_pools` (or exit) instead.
+    The pool stays warm across :class:`~repro.workloads.runner.TrialRunner`
+    instances — the whole point: a figure driver sweeping four methods over
+    one workload creates four runners but pays for one pool and one set of
+    shared pages.  Do **not** close the returned pool; call
+    :func:`close_shared_pools` (or exit) instead.
     """
     if workload.spec is None:
         raise ValueError("workload has no WorkloadSpec; cannot key a shared pool")

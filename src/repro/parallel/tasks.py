@@ -3,9 +3,11 @@
 A trial is described by plain data — which estimator configuration to run
 (:class:`~repro.parallel.methods.MethodSpec`), the budget, and a
 :class:`~repro.sampling.rng.SeedDescriptor` naming the trial's child
-stream.  Serial runs and warm-pool workers execute chunks of such tasks
-against an already-resolved workload through :func:`execute_trials` and
-return compact :class:`TrialResult` records for the reduce step.
+stream; :func:`trial_tasks` builds the tasks of one seeded run.  The
+serial :class:`~repro.workloads.runner.TrialRunner` executes them one at a
+time through :func:`run_single_trial`; warm-pool workers execute chunks of
+them through :func:`execute_trials` and return compact :class:`TrialResult`
+records for the reduce step.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from typing import Any
 
 from repro import obs
 from repro.core.estimate import CountEstimate
-from repro.parallel.fingerprint import estimate_digest
 from repro.parallel.methods import MethodSpec
 from repro.sampling.intervals import ConfidenceInterval
-from repro.sampling.rng import SeedDescriptor
+from repro.sampling.rng import SeedDescriptor, SeedLike, spawn_seed_descriptors
 from repro.workloads.queries import Workload
 
 
@@ -36,6 +37,16 @@ class TrialTask:
     trial_index: int
     seed: SeedDescriptor
     budget: int
+
+
+def trial_tasks(seed: SeedLike, num_trials: int, budget: int) -> tuple[TrialTask, ...]:
+    """The tasks of ``num_trials`` seeded trials: trial ``i`` draws child stream ``i``."""
+    if num_trials < 1:
+        raise ValueError("num_trials must be positive")
+    return tuple(
+        TrialTask(trial_index=index, seed=descriptor, budget=budget)
+        for index, descriptor in enumerate(spawn_seed_descriptors(seed, num_trials))
+    )
 
 
 @dataclass(frozen=True)
@@ -138,19 +149,6 @@ def open_chunk(envelope: ChunkEnvelope) -> Any:
     return pickle.loads(envelope.data)
 
 
-@dataclass(frozen=True)
-class TrialFingerprint:
-    """One trial reduced to its 32-byte estimate digest.
-
-    The compact wire form for verification-only runs: when the caller needs
-    equivalence evidence rather than estimates, workers buffer their chunk's
-    digests and only these bytes cross the pipe.
-    """
-
-    trial_index: int
-    digest: bytes
-
-
 def run_single_trial(
     workload: Workload,
     method_spec: MethodSpec,
@@ -186,32 +184,15 @@ def execute_trials(
     workload: Workload,
     method_spec: MethodSpec,
     tasks: tuple[TrialTask, ...],
-    result_mode: str = "estimates",
-) -> list[TrialResult] | list[TrialFingerprint]:
+) -> list[TrialResult]:
     """Run a chunk of trials against an already-resolved workload.
 
-    The single execution path shared by the serial shortcut and the warm
-    pool — which is what keeps their results byte-identical.  Trials within the chunk run in task order; each
-    draws only from its own child stream, so chunking never affects results.
-
-    ``result_mode`` selects what crosses the process boundary:
-    ``"estimates"`` returns full :class:`TrialResult` records;
-    ``"fingerprints"`` buffers each trial down to its 32-byte digest for
-    verification-only callers.
+    The warm-pool workers' execution path.  Trials within the chunk run in
+    task order through :func:`run_single_trial`, the serial runner's path
+    too; each draws only from its own child stream, so chunking never
+    affects results.
     """
-    if result_mode == "fingerprints":
-        return [
-            TrialFingerprint(
-                task.trial_index, estimate_digest(run_single_trial(workload, method_spec, task))
-            )
-            for task in tasks
-        ]
-    if result_mode != "estimates":
-        raise ValueError(
-            f"unknown result_mode {result_mode!r}; choose 'estimates' or 'fingerprints'"
-        )
     return [
         TrialResult.from_estimate(task.trial_index, run_single_trial(workload, method_spec, task))
         for task in tasks
     ]
-

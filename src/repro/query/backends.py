@@ -184,7 +184,13 @@ class QueryBackend(ABC):
 
     # -- observability --------------------------------------------------------
     def _record_scan(self, rows: int) -> None:
-        """Charge rows touched to the scan counter (only when obs is enabled)."""
+        """Charge objects labelled or read to the scan counter (obs on only).
+
+        ``rows`` counts the objects a call answers for — on sqlite, the
+        distinct objects one ``evaluate`` labels — not the rows the engine
+        visits to label them: a correlated ``COUNT`` that reads an index or
+        stops early is charged the same as a full scan.
+        """
         if obs.enabled():
             obs.record_rows_scanned(int(rows), backend=self.spec)
 

@@ -3,9 +3,9 @@
 A session owns what is expensive to build and cheap to keep: generated
 tables, grid indexes, bulk label caches, trained classifier scores and
 stratification designs.  Requests are cheap against that resident state —
-:meth:`Session.estimate` runs seeded trials through the parallel engine's
-single execution path (so served estimates are byte-identical to serial
-``execute_trials``), and :meth:`Session.sweep` answers whole threshold
+:meth:`Session.estimate` runs seeded trials through the one trial runner
+(so served estimates are byte-identical to serial ``execute_trials``), and
+:meth:`Session.sweep` answers whole threshold
 families from **one** learning phase, re-stratifying from cached scores
 without re-labelling.
 
@@ -16,8 +16,8 @@ byte-identically, because everything resident is a pure function of its spec.
 
 Seeds: every request names its own master seed, and trials/sweep points
 derive child streams through the same
-:func:`~repro.sampling.rng.spawn_seed_descriptors` machinery as the serial
-and parallel runners — concurrency never reorders randomness.
+:func:`~repro.parallel.tasks.trial_tasks` as the trial runner — concurrency
+never reorders randomness.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from repro.core.scores import LearnedScoresSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.fingerprint import estimate_fingerprint, estimates_fingerprint
 from repro.parallel.methods import METHODS, MethodSpec
-from repro.parallel.runner import ParallelTrialRunner
-from repro.parallel.tasks import TrialTask, execute_trials
+from repro.parallel.tasks import execute_trials, trial_tasks
 from repro.query.counting import CountingQuery
-from repro.sampling.rng import SeedLike, spawn_seed_descriptors
+from repro.sampling.rng import SeedLike
 from repro.sampling.stratified import attribute_grid_strata
 from repro.service.sweep import (
     ScoredMethodSpec,
@@ -44,6 +43,7 @@ from repro.service.sweep import (
     sweep_point_seed,
 )
 from repro.workloads.queries import Workload, WorkloadSpec, build_workload
+from repro.workloads.runner import TrialRunner
 
 #: Datasets a session can make resident.
 DATASET_NAMES = ("neighbors", "sports")
@@ -291,7 +291,7 @@ class Session:
         level: default selectivity level for requests that name none.
         num_rows / seed: table generation knobs (library defaults if omitted).
         backend: query-execution backend spec for resident workloads.
-        workers: process count handed to the parallel runner (``1`` =
+        workers: process count handed to the trial runner (``1`` =
             in-process serial execution, the default for a service whose
             concurrency comes from request-level threads).
         dispatch: parallel dispatch mode; only ``"warm"`` (the warm worker
@@ -441,14 +441,6 @@ class Session:
             return workload.sample_size(fraction)
         return workload.sample_size(0.01)
 
-    def _tasks(self, seed: SeedLike, num_trials: int, budget: int) -> tuple[TrialTask, ...]:
-        if num_trials < 1:
-            raise ValueError("num_trials must be at least 1")
-        return tuple(
-            TrialTask(trial_index=index, seed=descriptor, budget=budget)
-            for index, descriptor in enumerate(spawn_seed_descriptors(seed, num_trials))
-        )
-
     # -- public API -----------------------------------------------------------
     def estimate(
         self,
@@ -463,7 +455,7 @@ class Session:
     ) -> EstimateResult:
         """Serve seeded estimate trials against resident state.
 
-        Execution goes through :class:`~repro.parallel.runner.ParallelTrialRunner`
+        Execution goes through :class:`~repro.workloads.runner.TrialRunner`
         over the resident workload — the same single path as every serial and
         parallel experiment — so the response's per-trial digests are
         byte-identical to a fresh serial ``execute_trials`` run of the same
@@ -474,12 +466,8 @@ class Session:
         with resident.lock:
             workload = resident.workload(level if level is not None else self.default_level)
             resolved_budget = self._resolve_budget(workload, budget, budget_fraction)
-            runner = ParallelTrialRunner(
-                workload_spec=workload.spec,
-                num_trials=num_trials,
-                seed=seed,
-                workers=self.workers,
-                workload=workload,
+            runner = TrialRunner(
+                workload=workload, num_trials=num_trials, seed=seed, workers=self.workers
             )
             runner.run(method_spec.method, method_spec, resolved_budget)
             estimates = runner.estimates[method_spec.method]
@@ -556,7 +544,7 @@ class Session:
             )
             for index, point_level in enumerate(levels):
                 workload = resident.workload(point_level)
-                tasks = self._tasks(
+                tasks = trial_tasks(
                     sweep_point_seed(seed, index, len(levels)), num_trials, resolved_budget
                 )
                 trial_results = execute_trials(workload, method_spec, tasks)
@@ -624,9 +612,9 @@ class Session:
             # trial records ship only the deterministic estimate fields — the
             # design object a caller wants here lives in the details.
             estimator = LearnedStratifiedSampling(num_strata=num_strata, optimizer=optimizer)
-            (descriptor,) = spawn_seed_descriptors(sweep_point_seed(seed, 0, 1), 1)
+            (task,) = trial_tasks(sweep_point_seed(seed, 0, 1), 1, resolved_budget)
             estimate = estimator.estimate_from_scores(
-                workload.query, learned, resolved_budget, seed=descriptor.resolve()
+                workload.query, learned, task.budget, seed=task.seed.resolve()
             )
             details = estimate.details or {}
             design = details.get("design")

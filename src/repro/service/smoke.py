@@ -27,8 +27,7 @@ import sys
 from repro import obs
 from repro.core.scores import LearnedScoresSpec
 from repro.parallel.fingerprint import estimates_fingerprint
-from repro.parallel.tasks import TrialTask, execute_trials
-from repro.sampling.rng import spawn_seed_descriptors
+from repro.parallel.tasks import execute_trials, trial_tasks
 from repro.service.server import ServerThread, request_json, request_text
 from repro.service.sweep import ScoredMethodSpec, sweep_point_seed
 from repro.workloads.queries import WorkloadSpec
@@ -45,11 +44,7 @@ LEARN_SEED = 99
 
 def _serial_fingerprint(spec: WorkloadSpec, method_spec, seed, budget: int) -> str:
     workload = spec.build()
-    tasks = tuple(
-        TrialTask(trial_index=index, seed=descriptor, budget=budget)
-        for index, descriptor in enumerate(spawn_seed_descriptors(seed, NUM_TRIALS))
-    )
-    records = execute_trials(workload, method_spec, tasks)
+    records = execute_trials(workload, method_spec, trial_tasks(seed, NUM_TRIALS, budget))
     return estimates_fingerprint(record.to_estimate() for record in records)
 
 

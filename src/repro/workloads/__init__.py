@@ -7,7 +7,7 @@ from repro.workloads.queries import (
     build_sports_workload,
     build_workload,
 )
-from repro.workloads.runner import TrialRunner, run_trials
+from repro.workloads.runner import TrialRunner
 
 __all__ = [
     "EstimateDistribution",
@@ -16,6 +16,5 @@ __all__ = [
     "build_neighbors_workload",
     "build_sports_workload",
     "build_workload",
-    "run_trials",
     "summarize_estimates",
 ]

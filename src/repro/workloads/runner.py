@@ -1,27 +1,26 @@
 """Run repeated estimator trials over a workload.
 
 Every figure in the paper's evaluation is a distribution of estimates over
-repeated runs; :class:`TrialRunner` centralises the trial loop (independent
-seeds per trial, per-trial accounting scope, distribution summarisation) so
-the per-figure drivers only declare *what* to run.  Spec-described methods
-can additionally fan out across a process pool through
-:class:`~repro.parallel.runner.ParallelTrialRunner` via the ``workers=``
-knob; results are byte-identical either way.
+repeated runs; :class:`TrialRunner` is the one trial loop (independent seeds
+per trial, per-trial accounting scope, distribution summarisation), so the
+per-figure drivers only declare *what* to run as a pickle-safe
+:class:`~repro.parallel.methods.MethodSpec`.  Trial ``i`` runs the task
+:func:`~repro.parallel.tasks.trial_tasks` gives it, in-process or — through
+the ``workers=`` knob — on the process-wide warm pool
+(:func:`~repro.parallel.pool.shared_pool`); results are byte-identical
+either way.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
+from repro import obs
 from repro.core.estimate import CountEstimate
-from repro.sampling.rng import SeedLike, spawn_seeds
+from repro.sampling.rng import SeedLike
 from repro.workloads.metrics import EstimateDistribution, summarize_estimates
 from repro.workloads.queries import Workload
-
-EstimatorFactory = Callable[[], object]
-"""A zero-argument callable building a fresh estimator for each trial."""
 
 
 @dataclass
@@ -32,11 +31,10 @@ class TrialRunner:
         workload: the workload to estimate.
         num_trials: number of independent repetitions.
         seed: master seed; each trial receives an independent child stream.
-        workers: process count for :meth:`run_method` (``1``, the default,
-            executes serially in-process and preserves historical
-            behaviour; ``None``/``0`` uses every available CPU).  The
-            callable-based :meth:`run` is always serial, since closures
-            cannot cross process boundaries.
+        workers: process count (``1``, the default, runs the trials
+            in-process; ``None``/``0`` uses every usable CPU).  Fan-out needs
+            a workload built from a :class:`~repro.workloads.queries.WorkloadSpec`;
+            one without a spec warns and runs serially.
     """
 
     workload: Workload
@@ -45,47 +43,26 @@ class TrialRunner:
     workers: int | None = 1
     estimates: dict[str, list[CountEstimate]] = field(default_factory=dict)
 
-    def run(
-        self,
-        method_name: str,
-        run_trial: Callable[[Workload, SeedLike], CountEstimate],
-    ) -> EstimateDistribution:
-        """Run ``num_trials`` independent trials of one estimator.
+    def run(self, method_name: str, method_spec, budget: int) -> EstimateDistribution:
+        """Run ``num_trials`` independent trials of one method.
 
         Args:
             method_name: label under which the results are stored.
-            run_trial: callable invoked as ``run_trial(workload, rng)`` that
-                returns one :class:`CountEstimate`.
-        """
-        if self.num_trials <= 0:
-            raise ValueError("num_trials must be positive")
-        rngs = spawn_seeds(self.seed, self.num_trials)
-        collected: list[CountEstimate] = []
-        for rng in rngs:
-            # Accounting is scoped to the trial, not mutated ambiently by
-            # the runner: each trial starts from zeroed counters regardless
-            # of what ran before it on this query instance.
-            with self.workload.query.fresh_accounting():
-                collected.append(run_trial(self.workload, rng))
-        self.estimates[method_name] = collected
-        return summarize_estimates(method_name, collected, self.workload.true_count)
+            method_spec: a :class:`~repro.parallel.methods.MethodSpec` (or any
+                spec with its ``method`` / ``build_trial_function()`` duck type).
+            budget: predicate evaluations each trial may spend.
 
-    def run_method(self, method_name: str, method_spec, budget: int) -> EstimateDistribution:
-        """Run a spec-described method, fanning out when ``workers > 1``.
-
-        ``method_spec`` is a :class:`~repro.parallel.methods.MethodSpec`.
-        Fan-out goes through the warm worker pool: a persistent,
-        process-wide pool per (workload spec, worker count) whose workers
-        attach to shared-memory dataset pages once and then stream compact
-        trial tasks — so sweeping several methods over one workload pays
-        pool start-up a single time.  Workloads without a rebuild spec
-        (hand-assembled tables, custom predicates) cannot be shipped to
-        worker processes and fall back to serial execution with a warning —
-        the results are identical either way, only slower.
+        Serial trials keep each :class:`CountEstimate` whole, ``details``
+        included (the backend-parity audit digests ``details["design"]``).
+        Warm-pool trials come back as diagnostics-free
+        :class:`~repro.parallel.tasks.TrialResult` records; their
+        fingerprints are identical to the serial run's.
         """
         from repro.parallel.engine import resolve_worker_count
-        from repro.parallel.runner import ParallelTrialRunner
+        from repro.parallel.pool import shared_pool
+        from repro.parallel.tasks import run_single_trial, trial_tasks
 
+        tasks = trial_tasks(self.seed, self.num_trials, budget)
         workers = resolve_worker_count(self.workers)
         if workers > 1 and self.workload.spec is None:
             warnings.warn(
@@ -94,20 +71,16 @@ class TrialRunner:
             )
             workers = 1
         if workers <= 1:
-            trial_function = method_spec.build_trial_function()
-            return self.run(
-                method_name, lambda workload, rng: trial_function(workload, rng, budget)
-            )
-        runner = ParallelTrialRunner(
-            workload_spec=self.workload.spec,
-            num_trials=self.num_trials,
-            seed=self.seed,
-            workers=workers,
-            workload=self.workload,
-        )
-        distribution = runner.run(method_name, method_spec, budget)
-        self.estimates[method_name] = runner.estimates[method_name]
-        return distribution
+            collected = [run_single_trial(self.workload, method_spec, task) for task in tasks]
+        else:
+            # The trials' own spans stay in the workers; this one shows the run here.
+            with obs.span(
+                "parallel.warm", method=method_spec.method, tasks=len(tasks), workers=workers
+            ):
+                results = shared_pool(self.workload, workers).run(method_spec, tasks)
+            collected = [result.to_estimate() for result in results]
+        self.estimates[method_name] = collected
+        return summarize_estimates(method_name, collected, self.workload.true_count)
 
     def distribution(self, method_name: str) -> EstimateDistribution:
         """Summarise the stored estimates of a previously run method."""
@@ -116,15 +89,3 @@ class TrialRunner:
         return summarize_estimates(
             method_name, self.estimates[method_name], self.workload.true_count
         )
-
-
-def run_trials(
-    workload: Workload,
-    method_name: str,
-    run_trial: Callable[[Workload, SeedLike], CountEstimate],
-    num_trials: int = 30,
-    seed: SeedLike = 0,
-) -> EstimateDistribution:
-    """Convenience wrapper around :class:`TrialRunner` for a single method."""
-    runner = TrialRunner(workload=workload, num_trials=num_trials, seed=seed)
-    return runner.run(method_name, run_trial)

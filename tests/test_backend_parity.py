@@ -352,7 +352,7 @@ class TestWorkloadAndMethodSpecs:
         digests = set()
         for backend in (None, "sqlite", "chunked:7"):
             runner = TrialRunner(workload=workload, num_trials=2, seed=7)
-            runner.run_method("srs", MethodSpec(method="srs", backend=backend), budget)
+            runner.run("srs", MethodSpec(method="srs", backend=backend), budget)
             digests.add(
                 tuple(
                     (e.count, e.predicate_evaluations) for e in runner.estimates["srs"]
@@ -530,6 +530,23 @@ class TestChunkedScanAccounting:
         finally:
             obs.set_enabled(previous)
             obs.reset()
+
+    def test_sqlite_charges_objects_labelled_not_rows_visited(self, small_points_table):
+        # The SQL plan visits many rows per label (a correlated COUNT), but
+        # the counter charges each labelled object once.
+        predicate = SkybandPredicate("x", "y", k=3)
+        indices = np.arange(0, small_points_table.num_rows, 3)
+        previous = obs.set_enabled(True)
+        backend = make_backend("sqlite", small_points_table, predicate)
+        try:
+            obs.reset()
+            backend.evaluate(indices)
+            scanned = obs.registry().counter_total(obs.BACKEND_ROWS_SCANNED, backend="sqlite")
+        finally:
+            backend.close()
+            obs.set_enabled(previous)
+            obs.reset()
+        assert scanned == indices.size
 
 
 # -- NTILE layout arithmetic ---------------------------------------------------

@@ -67,11 +67,12 @@ class TestWorkflowStructure:
         assert str(parity_step.get("name", "")).lower() == "backend parity"
         # Both pushed-down predicates are audited: the default dataset
         # (neighbors) runs the neighbour-count SQL, sports the skyband SQL.
+        # RuntimeWarnings are errors, so an import-order warning from
+        # ``python -m`` (the package importing the module it runs) fails CI.
         commands = [line.strip() for line in str(parity_step["run"]).splitlines()]
-        assert "PYTHONPATH=src python -m repro.experiments.parity" in commands
-        assert (
-            "PYTHONPATH=src python -m repro.experiments.parity --dataset sports" in commands
-        )
+        parity = "PYTHONPATH=src python -W error::RuntimeWarning -m repro.experiments.parity"
+        assert parity in commands
+        assert f"{parity} --dataset sports" in commands
 
     def test_fast_job_runs_service_smoke(self, workflow):
         # The service smoke gate: every push/PR boots the estimate server,

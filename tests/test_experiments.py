@@ -19,7 +19,7 @@ from repro.experiments import (
     run_optimizer_ablation,
     run_table1_selectivity,
 )
-from repro.experiments.common import classifier_factory, make_trial_function
+from repro.experiments.common import MethodSpec, classifier_factory
 
 MICRO_SCALE = ExperimentScale(
     sports_rows=1200,
@@ -40,11 +40,11 @@ class TestCommonHelpers:
         with pytest.raises(ValueError):
             classifier_factory("svm")
 
-    def test_make_trial_function_unknown_method(self):
+    def test_method_spec_unknown_method(self):
         # Specs validate eagerly: an unknown method fails at construction,
         # before any budget is spent.
         with pytest.raises(ValueError):
-            make_trial_function("bogus")
+            MethodSpec("bogus")
 
 
 class TestTable1:

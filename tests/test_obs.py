@@ -28,7 +28,7 @@ from repro.obs.export import (
     to_json_dict,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import MethodSpec, ParallelTrialRunner, clear_workload_cache
+from repro.parallel import MethodSpec, clear_workload_cache, estimates_fingerprint
 from repro.service.server import ServerThread, request_json, request_text
 from repro.service.sweep import (
     DesignCache,
@@ -37,6 +37,7 @@ from repro.service.sweep import (
     default_scores_cache,
 )
 from repro.workloads.queries import WorkloadSpec, build_workload
+from repro.workloads.runner import TrialRunner
 
 MASTER_SEED = 917
 NUM_TRIALS = 3
@@ -59,13 +60,14 @@ def workload():
 
 def _fingerprint(workload, method_spec, workers: int, budget: int) -> str:
     clear_workload_cache()
-    runner = ParallelTrialRunner(
-        workload_spec=workload.spec,
+    runner = TrialRunner(
+        workload=workload.spec.build(),
         num_trials=NUM_TRIALS,
         seed=MASTER_SEED,
         workers=workers,
     )
-    return runner.run_fingerprints(method_spec, budget)
+    runner.run(method_spec.method, method_spec, budget)
+    return estimates_fingerprint(runner.estimates[method_spec.method])
 
 
 class TestByteIdentity:

@@ -1,7 +1,7 @@
 """Serial-vs-parallel equivalence: the engine's core guarantee.
 
-For the same master seed, the parallel trial runner must produce estimates
-that are **byte-identical** to the serial runner — same counts, proportions,
+For the same master seed, the trial runner on the warm pool must produce
+estimates that are **byte-identical** to its serial run — same counts, proportions,
 intervals, variances and evaluation tallies, verified through IEEE-754-exact
 fingerprints — for every method, workload and worker count.
 """
@@ -14,10 +14,9 @@ import pytest
 from repro.parallel import (
     METHODS,
     MethodSpec,
-    ParallelTrialRunner,
-    clear_workload_cache,
+    WarmPool,
     estimates_fingerprint,
-    run_trials_parallel,
+    trial_tasks,
 )
 from repro.sampling.rng import spawn_seed_descriptors, spawn_seeds
 from repro.workloads.queries import build_workload
@@ -29,15 +28,14 @@ NUM_TRIALS = 4
 
 def serial_fingerprint(workload, method: str, budget: int) -> str:
     runner = TrialRunner(workload=workload, num_trials=NUM_TRIALS, seed=MASTER_SEED)
-    trial_function = MethodSpec(method).build_trial_function()
-    runner.run(method, lambda wl, rng: trial_function(wl, rng, budget))
+    runner.run(method, MethodSpec(method), budget)
     return estimates_fingerprint(runner.estimates[method])
 
 
 def parallel_fingerprint(workload, method: str, budget: int, workers: int) -> str:
-    clear_workload_cache()
-    runner = ParallelTrialRunner(
-        workload_spec=workload.spec,
+    """The same trials over a workload rebuilt from its spec, on ``workers``."""
+    runner = TrialRunner(
+        workload=workload.spec.build(),
         num_trials=NUM_TRIALS,
         seed=MASTER_SEED,
         workers=workers,
@@ -105,29 +103,29 @@ class TestFastEquivalence:
         budget = sports_workload.sample_size(0.05)
         spec = MethodSpec("lss")
         serial = TrialRunner(workload=sports_workload, num_trials=NUM_TRIALS, seed=MASTER_SEED)
-        serial.run_method("lss", spec, budget)
+        serial.run("lss", spec, budget)
         parallel = TrialRunner(
             workload=sports_workload, num_trials=NUM_TRIALS, seed=MASTER_SEED, workers=2
         )
-        parallel.run_method("lss", spec, budget)
+        parallel.run("lss", spec, budget)
         assert estimates_fingerprint(parallel.estimates["lss"]) == estimates_fingerprint(
             serial.estimates["lss"]
+        )
+        # Serial trials keep their diagnostics: the backend-parity audit
+        # digests each LSS design, and stripped estimates would all read as
+        # "no design".
+        assert all(
+            estimate.details.get("design") is not None for estimate in serial.estimates["lss"]
         )
 
     def test_chunking_never_changes_results(self, sports_workload):
         budget = sports_workload.sample_size(0.05)
         fingerprints = set()
-        for chunk_size in (1, 2, NUM_TRIALS):
-            clear_workload_cache()
-            runner = ParallelTrialRunner(
-                workload_spec=sports_workload.spec,
-                num_trials=NUM_TRIALS,
-                seed=MASTER_SEED,
-                workers=2,
-                chunk_size=chunk_size,
-            )
-            runner.run("srs", MethodSpec("srs"), budget)
-            fingerprints.add(estimates_fingerprint(runner.estimates["srs"]))
+        tasks = trial_tasks(MASTER_SEED, NUM_TRIALS, budget)
+        with WarmPool(sports_workload, workers=2) as pool:
+            for chunk_size in (1, 2, NUM_TRIALS):
+                records = pool.run(MethodSpec("srs"), tasks, chunk_size=chunk_size)
+                fingerprints.add(estimates_fingerprint(r.to_estimate() for r in records))
         assert len(fingerprints) == 1
 
     def test_specless_workload_falls_back_to_serial(self, sports_workload):
@@ -137,17 +135,10 @@ class TestFastEquivalence:
         stripped = dataclasses.replace(sports_workload, spec=None)
         runner = TrialRunner(workload=stripped, num_trials=NUM_TRIALS, seed=MASTER_SEED, workers=4)
         with pytest.warns(UserWarning, match="no WorkloadSpec"):
-            runner.run_method("srs", MethodSpec("srs"), budget)
+            runner.run("srs", MethodSpec("srs"), budget)
         assert estimates_fingerprint(runner.estimates["srs"]) == serial_fingerprint(
             sports_workload, "srs", budget
         )
-
-    def test_run_trials_parallel_requires_spec(self, sports_workload):
-        import dataclasses
-
-        stripped = dataclasses.replace(sports_workload, spec=None)
-        with pytest.raises(ValueError, match="no spec"):
-            run_trials_parallel(stripped, "srs", MethodSpec("srs"), budget=20)
 
 
 @pytest.mark.slow

@@ -36,19 +36,17 @@ from repro.parallel import (
     ChunkEnvelope,
     ChunkRetryError,
     MethodSpec,
-    ParallelTrialRunner,
     WarmPool,
     close_shared_pools,
     estimates_fingerprint,
     open_chunk,
     seal_chunk,
     shared_pool,
+    trial_tasks,
 )
 from repro.parallel.shm import active_segments
-from repro.parallel.tasks import TrialTask
 from repro.query.backends import SqliteBackend, make_backend
 from repro.resilience import FaultPlan, FaultSpec, TransientFaultError, backoff_delays, faults
-from repro.sampling.rng import spawn_seed_descriptors
 from repro.service.server import EstimateServer, ServerThread, request_json, request_text
 from repro.service.session import Session
 from repro.workloads.queries import build_workload
@@ -104,8 +102,7 @@ def serial_fingerprints(sports_workload):
         runner = TrialRunner(
             workload=sports_workload, num_trials=NUM_TRIALS, seed=MASTER_SEED
         )
-        trial_function = MethodSpec(method).build_trial_function()
-        runner.run(method, lambda wl, rng: trial_function(wl, rng, budget))
+        runner.run(method, MethodSpec(method), budget)
         fingerprints[method] = estimates_fingerprint(runner.estimates[method])
     return fingerprints
 
@@ -275,17 +272,9 @@ def chaos_fingerprint(workload, method: str, plan_spec: str, **pool_options):
     plan = install_plan(plan_spec, **pool_options.pop("plan_options", {}))
     budget = workload.sample_size(0.05)
     with WarmPool(workload, workers=WORKERS, **pool_options) as pool:
-        runner = ParallelTrialRunner(
-            workload_spec=workload.spec,
-            num_trials=NUM_TRIALS,
-            seed=MASTER_SEED,
-            workers=WORKERS,
-            workload=workload,
-            pool=pool,
-        )
-        runner.run(method, MethodSpec(method), budget)
+        records = pool.run(MethodSpec(method), trial_tasks(MASTER_SEED, NUM_TRIALS, budget))
         stats = {"retries": pool.chunk_retries, "rebuilds": pool.rebuilds}
-    return estimates_fingerprint(runner.estimates[method]), plan, stats
+    return estimates_fingerprint(record.to_estimate() for record in records), plan, stats
 
 
 class TestChaosRecovery:
@@ -368,12 +357,8 @@ class TestChaosRecovery:
         pool = WarmPool(
             sports_workload, workers=WORKERS, chunk_size=NUM_TRIALS, max_chunk_retries=1
         )
-        tasks = [
-            TrialTask(trial_index=i, seed=descriptor, budget=budget)
-            for i, descriptor in enumerate(spawn_seed_descriptors(MASTER_SEED, NUM_TRIALS))
-        ]
         with pytest.raises(ChunkRetryError, match="retry budget"):
-            pool.run(MethodSpec("srs"), tasks)
+            pool.run(MethodSpec("srs"), trial_tasks(MASTER_SEED, NUM_TRIALS, budget))
         assert pool.closed
         assert active_segments() <= baseline
 

@@ -19,7 +19,6 @@ import pytest
 from repro.parallel import (
     METHOD_COST_HINTS,
     MethodSpec,
-    ParallelTrialRunner,
     WarmPool,
     close_shared_pools,
     dispatch_chunk_size,
@@ -27,6 +26,7 @@ from repro.parallel import (
     reset_oversubscription_warning,
     resolve_worker_count,
     shared_pool,
+    trial_tasks,
 )
 from repro.parallel.engine import available_workers
 from repro.parallel.pool import method_cost_hint
@@ -63,23 +63,14 @@ def serial_fingerprints(sports_workload):
         runner = TrialRunner(
             workload=sports_workload, num_trials=NUM_TRIALS, seed=MASTER_SEED
         )
-        trial_function = MethodSpec(method).build_trial_function()
-        runner.run(method, lambda wl, rng: trial_function(wl, rng, budget))
+        runner.run(method, MethodSpec(method), budget)
         fingerprints[method] = estimates_fingerprint(runner.estimates[method])
     return fingerprints
 
 
-def pool_fingerprint(pool, workload, method: str, budget: int) -> str:
-    runner = ParallelTrialRunner(
-        workload_spec=workload.spec,
-        num_trials=NUM_TRIALS,
-        seed=MASTER_SEED,
-        workers=WORKERS,
-        workload=workload,
-        pool=pool,
-    )
-    runner.run(method, MethodSpec(method), budget)
-    return estimates_fingerprint(runner.estimates[method])
+def pool_fingerprint(pool, method: str, budget: int) -> str:
+    records = pool.run(MethodSpec(method), trial_tasks(MASTER_SEED, NUM_TRIALS, budget))
+    return estimates_fingerprint(record.to_estimate() for record in records)
 
 
 class TestWarmPoolDeterminism:
@@ -95,25 +86,8 @@ class TestWarmPoolDeterminism:
         with WarmPool(sports_workload, workers=WORKERS, start_method=start_method) as pool:
             pool.warm_up()
             for method in METHODS:
-                actual = pool_fingerprint(pool, sports_workload, method, budget)
+                actual = pool_fingerprint(pool, method, budget)
                 assert actual == serial_fingerprints[method], (method, start_method)
-
-    def test_fingerprint_mode_matches_estimates(
-        self, sports_workload, serial_fingerprints
-    ):
-        budget = sports_workload.sample_size(0.05)
-        with WarmPool(sports_workload, workers=WORKERS) as pool:
-            runner = ParallelTrialRunner(
-                workload_spec=sports_workload.spec,
-                num_trials=NUM_TRIALS,
-                seed=MASTER_SEED,
-                workers=WORKERS,
-                workload=sports_workload,
-                pool=pool,
-            )
-            digest = runner.run_fingerprints(MethodSpec("lss"), budget)
-        assert digest == serial_fingerprints["lss"]
-        assert runner.estimates == {}  # nothing stored on the verification path
 
 
 class TestLifecycle:
@@ -123,15 +97,7 @@ class TestLifecycle:
         budget = sports_workload.sample_size(0.05)
         for _ in range(2):
             with WarmPool(sports_workload, workers=WORKERS) as pool:
-                runner = ParallelTrialRunner(
-                    workload_spec=sports_workload.spec,
-                    num_trials=NUM_TRIALS,
-                    seed=MASTER_SEED,
-                    workers=WORKERS,
-                    workload=sports_workload,
-                    pool=pool,
-                )
-                runner.run("srs", MethodSpec("srs"), budget)
+                pool_fingerprint(pool, "srs", budget)
             assert pool.closed
         assert active_segments() <= baseline
 

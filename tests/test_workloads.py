@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.estimate import CountEstimate
-from repro.sampling.srs import SimpleRandomSampling
+from repro.parallel.methods import MethodSpec
 from repro.workloads.metrics import summarize_estimates
 from repro.workloads.queries import (
     build_neighbors_workload,
     build_sports_workload,
     build_workload,
 )
-from repro.workloads.runner import TrialRunner, run_trials
+from repro.workloads.runner import TrialRunner
 
 
 @pytest.fixture(scope="module")
@@ -105,24 +105,17 @@ class TestSummarizeEstimates:
 class TestTrialRunner:
     def test_runs_requested_trials(self, tiny_sports):
         runner = TrialRunner(workload=tiny_sports, num_trials=5, seed=0)
-
-        def trial(workload, rng):
-            return SimpleRandomSampling().estimate(
-                workload.query.object_indices(), workload.query.evaluate, 50, seed=rng
-            )
-
-        distribution = runner.run("srs", trial)
+        distribution = runner.run("srs", MethodSpec("srs"), 50)
         assert distribution.counts.size == 5
         assert runner.distribution("srs").median == distribution.median
 
     def test_trials_are_reproducible(self, tiny_sports):
-        def trial(workload, rng):
-            return SimpleRandomSampling().estimate(
-                workload.query.object_indices(), workload.query.evaluate, 50, seed=rng
-            )
-
-        first = run_trials(tiny_sports, "srs", trial, num_trials=4, seed=3)
-        second = run_trials(tiny_sports, "srs", trial, num_trials=4, seed=3)
+        first = TrialRunner(workload=tiny_sports, num_trials=4, seed=3).run(
+            "srs", MethodSpec("srs"), 50
+        )
+        second = TrialRunner(workload=tiny_sports, num_trials=4, seed=3).run(
+            "srs", MethodSpec("srs"), 50
+        )
         assert np.array_equal(first.counts, second.counts)
 
     def test_unknown_method_distribution_rejected(self, tiny_sports):
@@ -133,4 +126,4 @@ class TestTrialRunner:
     def test_invalid_trial_count(self, tiny_sports):
         runner = TrialRunner(workload=tiny_sports, num_trials=0, seed=0)
         with pytest.raises(ValueError):
-            runner.run("srs", lambda w, r: None)
+            runner.run("srs", MethodSpec("srs"), 50)
