@@ -296,10 +296,6 @@ class LearnedStratifiedSampling:
             evaluations_before=evaluations_before,
             learning_positives=learning.positive_count,
             learning_count=learning.labelled_count,
-            # Hand the *unordered* scores to a strata-pushdown backend so the
-            # database genuinely re-derives the ordering with ROW_NUMBER —
-            # then the runtime verification below proves it matches argsort.
-            layout_source=(remaining, scores),
         )
 
     def estimate_from_scores(
@@ -362,7 +358,6 @@ class LearnedStratifiedSampling:
         evaluations_before: int,
         learning_positives: float,
         learning_count: int,
-        layout_source: "tuple[np.ndarray, np.ndarray] | None" = None,
     ) -> CountEstimate:
         """Pilot + stage-II stratified estimation over a score-ordered population.
 
@@ -371,15 +366,6 @@ class LearnedStratifiedSampling:
         one) — the draw sequence on ``rng`` is identical in both, which is
         what makes served sweep estimates reproducible by any serial run
         holding the same cached ordering.
-
-        When the query's backend advertises strata pushdown, the ordering and
-        strata are materialised in-database (from ``layout_source`` — the
-        unordered ``(objects, scores)`` pair — or the ordered arrays when no
-        source is given) and each stage's labels come from **one** aggregate
-        query instead of per-row probes.  All randomness stays on ``rng``
-        exactly as in the client path — the pushdown only relocates label
-        evaluation — so estimates, cut points and oracle-call counts are
-        byte-identical either way.
         """
         # Stage I: pilot sample over the ordered population.  The pilot must
         # keep enough budget in stage II to give every stratum at least one
@@ -407,61 +393,11 @@ class LearnedStratifiedSampling:
         pilot_size = int(np.clip(pilot_size, 2, largest_pilot))
         second_stage_samples = sampling_budget - pilot_size
 
-        pushdown = query.stage_pushdown()
-        layout = None
-        if pushdown is not None and pushdown.supports_strata:
-            source_objects, source_scores = (
-                layout_source
-                if layout_source is not None
-                else (ordered_objects, sorted_scores)
-            )
-            # May decline (non-finite scores, engine too old) → client path.
-            layout = pushdown.strata_layout(source_objects, source_scores, self.num_strata)
-        try:
-            return self._two_stage_estimate(
-                query,
-                ordered_objects,
-                sorted_scores,
-                sampling_budget,
-                rng,
-                evaluations_before=evaluations_before,
-                learning_positives=learning_positives,
-                learning_count=learning_count,
-                pilot_size=pilot_size,
-                second_stage_samples=second_stage_samples,
-                pushdown=pushdown,
-                layout=layout,
-            )
-        finally:
-            if layout is not None:
-                layout.close()
-
-    def _two_stage_estimate(
-        self,
-        query: CountingQuery,
-        ordered_objects: np.ndarray,
-        sorted_scores: np.ndarray,
-        sampling_budget: int,
-        rng: np.random.Generator,
-        evaluations_before: int,
-        learning_positives: float,
-        learning_count: int,
-        pilot_size: int,
-        second_stage_samples: int,
-        pushdown,
-        layout,
-    ) -> CountEstimate:
-        """The pilot → design → stage-II pipeline, client-side or pushed down."""
         with obs.stage("lss.pilot"):
             pilot_positions = np.sort(
                 sample_without_replacement(ordered_objects.size, pilot_size, seed=rng)
             )
-            if layout is not None:
-                pilot_labels = pushdown.stage_labels(
-                    layout, pilot_positions, ordered_objects[pilot_positions]
-                )
-            else:
-                pilot_labels = query.evaluate(ordered_objects[pilot_positions])
+            pilot_labels = query.evaluate(ordered_objects[pilot_positions])
             pilot = PilotSample(pilot_positions, pilot_labels, ordered_objects.size)
 
         # Sample design: stratification + allocation.
@@ -508,72 +444,22 @@ class LearnedStratifiedSampling:
         stratum_labels: list[np.ndarray] = []
         slices = design.stratum_slices()
         with obs.stage("lss.stage2"):
-            if layout is not None:
-                # Pushed-down stage II: re-cut the in-database strata to the
-                # designed layout, run *all* seeded draws first — label
-                # evaluation consumes no randomness, so the rng stream is
-                # byte-identical to the client loop's draw/evaluate
-                # interleaving — then fetch every stratum's fresh labels
-                # with one aggregate stage query and split them back.
-                layout.assign_strata(slices)
-                per_stratum: list[np.ndarray | None] = []
-                position_parts: list[np.ndarray] = []
-                strata_parts: list[np.ndarray] = []
-                for stratum, ((start, end), allotted) in enumerate(
-                    zip(slices, allocation.counts)
-                ):
-                    in_stratum_mask = (pilot_positions >= start) & (pilot_positions < end)
-                    available = np.setdiff1d(
-                        np.arange(start, end),
-                        pilot_positions[in_stratum_mask],
-                        assume_unique=True,
-                    )
-                    take = int(min(allotted, available.size))
-                    if take > 0:
-                        chosen_positions = sample_without_replacement(
-                            available, take, seed=rng
-                        )
-                        position_parts.append(chosen_positions)
-                        strata_parts.append(np.full(take, stratum, dtype=np.int64))
-                        per_stratum.append(None)
-                    else:
-                        # Degenerate budget: no fresh samples fit in this
-                        # stratum, so fall back to its pilot labels rather
-                        # than treating it as unobserved.
-                        per_stratum.append(pilot_labels[in_stratum_mask])
-                if position_parts:
-                    positions = np.concatenate(position_parts)
-                    labels = pushdown.stage_labels(
-                        layout,
-                        positions,
-                        ordered_objects[positions],
-                        expected_strata=np.concatenate(strata_parts),
-                    )
-                    bounds = np.cumsum([part.size for part in position_parts])[:-1]
-                    segments = iter(np.split(labels, bounds))
-                    stratum_labels = [
-                        next(segments) if entry is None else entry
-                        for entry in per_stratum
-                    ]
+            for (start, end), allotted in zip(slices, allocation.counts):
+                in_stratum_mask = (pilot_positions >= start) & (pilot_positions < end)
+                pilot_in_stratum = pilot_labels[in_stratum_mask]
+                pilot_positions_in_stratum = pilot_positions[in_stratum_mask]
+                available = np.setdiff1d(
+                    np.arange(start, end), pilot_positions_in_stratum, assume_unique=True
+                )
+                take = int(min(allotted, available.size))
+                if take > 0:
+                    chosen_positions = sample_without_replacement(available, take, seed=rng)
+                    stratum_labels.append(query.evaluate(ordered_objects[chosen_positions]))
                 else:
-                    stratum_labels = [entry for entry in per_stratum if entry is not None]
-            else:
-                for (start, end), allotted in zip(slices, allocation.counts):
-                    in_stratum_mask = (pilot_positions >= start) & (pilot_positions < end)
-                    pilot_in_stratum = pilot_labels[in_stratum_mask]
-                    pilot_positions_in_stratum = pilot_positions[in_stratum_mask]
-                    available = np.setdiff1d(
-                        np.arange(start, end), pilot_positions_in_stratum, assume_unique=True
-                    )
-                    take = int(min(allotted, available.size))
-                    if take > 0:
-                        chosen_positions = sample_without_replacement(available, take, seed=rng)
-                        stratum_labels.append(query.evaluate(ordered_objects[chosen_positions]))
-                    else:
-                        # Degenerate budget: no fresh samples fit in this stratum, so
-                        # fall back to its pilot labels rather than treating it as
-                        # unobserved.
-                        stratum_labels.append(pilot_in_stratum)
+                    # Degenerate budget: no fresh samples fit in this stratum, so
+                    # fall back to its pilot labels rather than treating it as
+                    # unobserved.
+                    stratum_labels.append(pilot_in_stratum)
 
             estimate = stratified.estimate_from_samples(
                 partition,

@@ -114,9 +114,6 @@ class LearnedWeightedSampling:
 
         sampler = WeightedSampling(floor=self.score_floor, confidence=self.confidence)
         with obs.stage("lws.sampling"):
-            # A sampling-pushdown backend runs the whole stage as one
-            # aggregate query; ``None`` keeps the client-side oracle path.
-            # Either way the estimate is byte-identical.
             estimate = sampler.estimate(
                 remaining,
                 scores,
@@ -124,7 +121,6 @@ class LearnedWeightedSampling:
                 sample_size=min(sampling_budget, remaining.size),
                 seed=rng,
                 method=self.method_name,
-                pushdown=query.stage_pushdown(),
             )
 
         details = dict(
@@ -190,7 +186,6 @@ class LearnedWeightedSampling:
                 sample_size=min(int(budget), remaining.size),
                 seed=rng,
                 method=self.method_name,
-                pushdown=query.stage_pushdown(),
             )
 
         details = dict(

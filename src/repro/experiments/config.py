@@ -28,7 +28,7 @@ class SpecString:
     vocabulary, optionally followed by ``:`` and either a single positional
     argument or a comma-separated list of ``key=value`` options — because
     every textual knob in the library (query backends like
-    ``"chunked:4096"`` or ``"sqlite:database=/path,pushdown=full"``,
+    ``"chunked:4096"`` or ``"sqlite:database=/path,pushdown=off"``,
     dispatch modes like ``"warm"``, method specs like ``"lss:dirsol"``)
     fits it.  :func:`parse` is the single validation point; all call sites
     therefore share one error message shape:

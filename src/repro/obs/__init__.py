@@ -103,7 +103,6 @@ __all__ = [
     "record_fallback",
     "record_oracle_calls",
     "record_rows_scanned",
-    "record_stage_query",
     "registry",
     "reset",
     "set_enabled",
@@ -160,19 +159,6 @@ def record_rows_scanned(rows: int, backend: str) -> None:
     early-exit plans do not change it.
     """
     registry().inc(BACKEND_ROWS_SCANNED, float(rows), backend=backend)
-
-
-def record_stage_query(backend: str) -> None:
-    """One pushed-down estimator stage answered by one aggregate SQL query.
-
-    Attributed to the active stage span (``lws.sampling``, ``lss.pilot``,
-    ``lss.stage2``) so the parity/pushdown tests can assert the hard claim
-    of pushdown v2: under ``pushdown=full``, each estimator stage costs
-    exactly one SQL round trip instead of per-row probe batches.
-    """
-    registry().inc(
-        SQL_STAGE_QUERIES, backend=backend, stage=current_span_name() or "unattributed"
-    )
 
 
 def record_dynpgm_design(candidates: int, dps_solved: int) -> None:

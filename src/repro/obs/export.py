@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import pathlib
 import re
-from typing import Dict, Iterable, Mapping
+from typing import Dict
 
 from repro.obs import trace
 from repro.obs.metrics import STAGE_SECONDS, MetricsRegistry
@@ -150,11 +150,3 @@ def group_stage_totals(totals: Dict[str, float]) -> dict:
         },
         "total_seconds": round(total, 6),
     }
-
-
-def merge_snapshots(snapshots: Iterable[Mapping]) -> MetricsRegistry:
-    """Fold worker snapshots into a fresh registry (parallel bench reporting)."""
-    combined = MetricsRegistry()
-    for snapshot in snapshots:
-        combined.merge(snapshot)
-    return combined

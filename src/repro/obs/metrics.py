@@ -44,6 +44,8 @@ ORACLE_SECONDS = "repro_oracle_seconds_total"
 PREDICATE_BATCH_ROWS = "repro_predicate_batch_rows"
 BACKEND_ROWS_SCANNED = "repro_backend_rows_scanned_total"
 SQL_ROUNDTRIPS = "repro_sql_roundtrips_total"
+#: Nothing records this counter; the name stays because perfbench/run.py
+#: sums it.
 SQL_STAGE_QUERIES = "repro_sql_stage_queries_total"
 STAGE_SECONDS = "repro_stage_seconds"
 TRIALS_TOTAL = "repro_trials_total"
@@ -192,8 +194,8 @@ class MetricsRegistry:
 
         With no ``labels`` this sums every label set of the counter; with
         keywords it sums only the sets carrying those exact (key, value)
-        pairs — e.g. ``counter_total(SQL_STAGE_QUERIES, backend="sqlite")``
-        across whatever stage labels were recorded.
+        pairs — e.g. ``counter_total(ORACLE_CALLS, stage="lss.pilot")``
+        across whatever other labels were recorded.
         """
         wanted = set(_label_key(labels))
         with self._lock:

@@ -28,7 +28,7 @@ import collections
 import contextvars
 import os
 import time
-from typing import Deque, Iterator
+from typing import Deque
 
 #: Metric names shared with the instrumentation call sites.
 STAGE_SECONDS = "repro_stage_seconds"
@@ -176,10 +176,3 @@ def recent_traces() -> list[Span]:
 def clear_traces() -> None:
     """Drop the retained root spans (tests, export rotation)."""
     _FINISHED_ROOTS.clear()
-
-
-def iter_spans(root: Span) -> Iterator[Span]:
-    """Depth-first iteration over a span tree."""
-    yield root
-    for child in root.children:
-        yield from iter_spans(child)

@@ -38,7 +38,6 @@ from repro.parallel.engine import (
     resolve_worker_count,
 )
 from repro.parallel.fingerprint import (
-    distribution_fingerprint,
     estimate_digest,
     estimate_fingerprint,
     estimates_fingerprint,
@@ -95,7 +94,6 @@ __all__ = [
     "close_shared_pools",
     "default_start_method",
     "dispatch_chunk_size",
-    "distribution_fingerprint",
     "estimate_digest",
     "estimate_fingerprint",
     "estimates_fingerprint",

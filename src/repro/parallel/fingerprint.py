@@ -18,7 +18,6 @@ import struct
 from typing import Iterable
 
 from repro.core.estimate import CountEstimate
-from repro.workloads.metrics import EstimateDistribution
 
 
 def _pack_float(value: float | None) -> bytes:
@@ -110,26 +109,4 @@ def task_fingerprint(
     digest.update(_pack_int(seed))
     digest.update(b"budget:")
     digest.update(_pack_int(budget))
-    return digest.hexdigest()
-
-
-def distribution_fingerprint(distribution: EstimateDistribution) -> str:
-    """Hex digest of a summarised distribution (counts + summary stats)."""
-    digest = hashlib.sha256()
-    digest.update(distribution.method.encode())
-    digest.update(_pack_float(distribution.true_count))
-    for count in distribution.counts:
-        digest.update(_pack_float(float(count)))
-    for value in (
-        distribution.median,
-        distribution.q1,
-        distribution.q3,
-        distribution.iqr,
-        distribution.mean_absolute_error,
-        distribution.median_relative_error,
-        distribution.coverage,
-        distribution.mean_evaluations,
-    ):
-        digest.update(_pack_float(value))
-    digest.update(_pack_int(distribution.outlier_count))
     return digest.hexdigest()

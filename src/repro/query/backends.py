@@ -32,30 +32,21 @@ stores IEEE-754 doubles, the distance test ``(dx*dx + dy*dy) <= d**2`` rounds
 each step exactly like the numpy kernels, and the skyband test is pure
 comparisons.
 
-**Capabilities.**  Not every backend can do more than evaluate labels, and
-the estimators must not guess.  Every backend answers
-:meth:`QueryBackend.capabilities` with the tuple of capability tokens it
-implements; backends that can move whole estimator stages into the engine
-additionally satisfy the :class:`StrataPushdown` / :class:`SamplingPushdown`
-protocols.  :class:`SqliteBackend` advertises up to four capabilities
-depending on its ``pushdown`` level (``off`` / ``counts`` / ``full``):
+**Capabilities.**  Every backend answers :meth:`QueryBackend.capabilities`
+with the tuple of capability tokens it implements.  :class:`SqliteBackend`
+advertises up to two, depending on its ``pushdown`` level (``off`` /
+``counts``):
 
 * ``evaluate`` — labels on demand (every backend);
 * ``predicate-pushdown`` — per-object labels computed by correlated COUNT
-  subqueries inside the engine (``counts``, the default, and ``full``);
-* ``strata-pushdown`` — score orderings and stratum layouts materialised
-  in-database with ``ROW_NUMBER``/``NTILE`` window functions, each LSS
-  stage answered by **one** aggregate query (``full`` only);
-* ``sampling-pushdown`` — the seeded PPS draw order stored as a permutation
-  column so the whole LWS sampling stage is one aggregate query (``full``
-  only).
+  subqueries inside the engine (``counts``, the default).
 
 Randomness never moves: seeds are drawn client-side and only *label
 evaluation* is pushed down, which is what keeps every estimate byte-identical
 across pushdown levels.
 
 Backends are named by a spec string — ``"numpy"``, ``"sqlite"``,
-``"sqlite:database=/path,pushdown=full"``, ``"chunked"`` or
+``"sqlite:database=/path,pushdown=off"``, ``"chunked"`` or
 ``"chunked:<rows>"`` — so the choice travels through pickle-safe descriptions
 (:class:`~repro.workloads.queries.WorkloadSpec`,
 :class:`~repro.parallel.methods.MethodSpec`) and is part of the deterministic
@@ -68,19 +59,13 @@ import sqlite3
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.query.predicates import NeighborCountPredicate, Predicate, SkybandPredicate
-from repro.query.sql import (
-    WINDOW_FUNCTIONS_AVAILABLE,
-    PermutationLayout,
-    ScoreLayout,
-    quote_identifier,
-    table_to_sqlite,
-)
+from repro.query.sql import quote_identifier, table_to_sqlite
 from repro.query.table import Table
 from repro.resilience.faults import active_plan
 from repro.resilience.retry import backoff_delays
@@ -93,11 +78,9 @@ BACKEND_NAMES = ("numpy", "sqlite", "chunked")
 #: Capability tokens a backend may advertise via ``capabilities()``.
 CAP_EVALUATE = "evaluate"
 CAP_PREDICATE_PUSHDOWN = "predicate-pushdown"
-CAP_STRATA_PUSHDOWN = "strata-pushdown"
-CAP_SAMPLING_PUSHDOWN = "sampling-pushdown"
 
-#: Pushdown levels of :class:`SqliteBackend`, least to most aggressive.
-PUSHDOWN_LEVELS = ("off", "counts", "full")
+#: Pushdown levels of :class:`SqliteBackend`: storage only, or labels in SQL.
+PUSHDOWN_LEVELS = ("off", "counts")
 
 #: ``counts`` (PR 5's correlated COUNT probes) stays the default, so the
 #: bare ``"sqlite"`` spec keeps its historical meaning.
@@ -169,12 +152,8 @@ class QueryBackend(ABC):
     def capabilities(self) -> tuple[str, ...]:
         """Capability tokens this backend implements.
 
-        Every backend can :data:`CAP_EVALUATE`; backends that can execute
-        estimator stages in the engine add the pushdown tokens and satisfy
-        the matching protocol (:class:`StrataPushdown`,
-        :class:`SamplingPushdown`).  Estimators branch on this — never on
-        the concrete class — and fall back to the client-side kernels when
-        a capability is absent.
+        Every backend can :data:`CAP_EVALUATE`; a backend that computes
+        labels inside its engine adds :data:`CAP_PREDICATE_PUSHDOWN`.
         """
         return (CAP_EVALUATE,)
 
@@ -200,53 +179,6 @@ class QueryBackend(ABC):
             f"{type(self).__name__}(spec={self.spec!r}, "
             f"objects={self.num_objects}, capabilities={rendered})"
         )
-
-
-@runtime_checkable
-class StrataPushdown(Protocol):
-    """Optional capability: score orderings and strata live in the engine.
-
-    A backend advertising :data:`CAP_STRATA_PUSHDOWN` materialises a
-    :class:`~repro.query.sql.ScoreLayout` from ``(object, score)`` pairs —
-    re-deriving the stable score ordering and fixed-height strata with
-    window functions — and answers each estimator stage over it with one
-    aggregate query.  ``materialize_layout`` returns ``None`` whenever the
-    backend cannot honour the request (non-finite scores, no SQL plan for
-    the predicate, engine too old), and the caller falls back client-side.
-    """
-
-    def capabilities(self) -> tuple[str, ...]: ...
-
-    def materialize_layout(
-        self, objects: np.ndarray, scores: np.ndarray, num_strata: int
-    ) -> "ScoreLayout | None": ...
-
-    def evaluate_layout(
-        self, layout: "ScoreLayout", positions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
-
-
-@runtime_checkable
-class SamplingPushdown(Protocol):
-    """Optional capability: seeded draw orders live in the engine.
-
-    A backend advertising :data:`CAP_SAMPLING_PUSHDOWN` stores a
-    client-seeded draw permutation as a
-    :class:`~repro.query.sql.PermutationLayout` column and labels any prefix
-    of the draw sequence with one aggregate query.  Same fallback contract
-    as :class:`StrataPushdown`: ``materialize_permutation`` may return
-    ``None`` and the caller must cope.
-    """
-
-    def capabilities(self) -> tuple[str, ...]: ...
-
-    def materialize_permutation(
-        self, objects: np.ndarray, order: np.ndarray
-    ) -> "PermutationLayout | None": ...
-
-    def evaluate_permutation(
-        self, layout: "PermutationLayout", size: int
-    ) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 class NumpyBackend(QueryBackend):
@@ -440,7 +372,7 @@ class SqliteBackend(QueryBackend):
 
     * ``"off"`` — the database only stores the table; labels come from the
       client-side vectorized kernels (the reference semantics, handy for
-      differential debugging of the levels below).
+      differential debugging of ``counts``).
     * ``"counts"`` (default) — the two built-in predicates are pushed down
       as correlated COUNT subqueries — batched per-object probes and a
       single bulk pass for ground truth.  Each subquery stops counting once
@@ -448,21 +380,13 @@ class SqliteBackend(QueryBackend):
       dominators) and is served from one covering ``(x, y)`` index: a range
       probe on x instead of a full scan per object, with y and ``rowidx``
       read from the index entries.
-    * ``"full"`` — everything ``counts`` does, plus estimator-stage
-      pushdown: strata layouts are materialised in-database with
-      ``ROW_NUMBER``/``NTILE`` window functions and seeded draw orders as
-      permutation columns, so every LWS/LSS stage is answered by **one**
-      aggregate query (see :class:`StrataPushdown` /
-      :class:`SamplingPushdown`, and
-      :meth:`~repro.query.counting.CountingQuery.stage_pushdown` for the
-      consuming side).
 
     Predicates without a SQL translation (user-defined
     :class:`~repro.query.predicates.CallablePredicate`) fall back to the
     in-memory kernels at every level; the backend still owns enumeration and
     feature gathering, and label parity is trivially preserved.  Labels,
     cut points, oracle-call counts and seeded estimates are byte-identical
-    across all three levels — the parity CLI/CI gate runs the full grid.
+    across both levels — the parity CLI/CI gate runs the whole grid.
 
     ``make_backend("sqlite:database=...,pushdown=...")`` builds the same
     backend from a spec string — the form that travels through workload
@@ -566,74 +490,15 @@ class SqliteBackend(QueryBackend):
         tokens = [CAP_EVALUATE]
         if self._plan is not None and self.pushdown != "off":
             tokens.append(CAP_PREDICATE_PUSHDOWN)
-            if self.pushdown == "full" and WINDOW_FUNCTIONS_AVAILABLE:
-                tokens.append(CAP_STRATA_PUSHDOWN)
-                tokens.append(CAP_SAMPLING_PUSHDOWN)
         return tuple(tokens)
 
-    # -- estimator-stage pushdown (the ``full`` level) -------------------------
-    def materialize_layout(
-        self, objects: np.ndarray, scores: np.ndarray, num_strata: int
-    ) -> ScoreLayout | None:
-        """Build an in-database strata layout, or ``None`` to decline.
+    def evaluate_layout(self, *args, **kwargs):
+        """Removed; kept as a stub because perfbench's span targets name it."""
+        raise NotImplementedError("estimator-stage pushdown was removed")
 
-        Declines (→ the caller runs client-side) when the backend does not
-        advertise :data:`CAP_STRATA_PUSHDOWN` or when any score is
-        non-finite: Python's sqlite3 binds NaN as NULL, which would silently
-        corrupt the ordering instead of reproducing numpy's NaN-sorts-last.
-        """
-        if CAP_STRATA_PUSHDOWN not in self.capabilities():
-            return None
-        scores = np.asarray(scores, dtype=np.float64)
-        if not np.all(np.isfinite(scores)):
-            return None
-        return ScoreLayout(
-            self._require_connection(),
-            self._query_rows,
-            self._quoted_name,
-            np.asarray(objects, dtype=np.int64),
-            scores,
-            int(num_strata),
-        )
-
-    def evaluate_layout(
-        self, layout: ScoreLayout, positions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One estimator stage over a layout: one aggregate query."""
-        assert self._plan is not None  # layouts only exist with a SQL plan
-        positions = np.asarray(positions, dtype=np.int64)
-        self._record_scan(positions.size)
-        if obs.enabled():
-            obs.record_stage_query(backend=self.spec)
-        return layout.evaluate_positions(
-            positions, self._plan.label_expression, self._plan.parameters
-        )
-
-    def materialize_permutation(
-        self, objects: np.ndarray, order: np.ndarray
-    ) -> PermutationLayout | None:
-        """Store a client-seeded draw permutation, or ``None`` to decline."""
-        if CAP_SAMPLING_PUSHDOWN not in self.capabilities():
-            return None
-        return PermutationLayout(
-            self._require_connection(),
-            self._query_rows,
-            self._quoted_name,
-            np.asarray(objects, dtype=np.int64),
-            np.asarray(order, dtype=np.int64),
-        )
-
-    def evaluate_permutation(
-        self, layout: PermutationLayout, size: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Label the first ``size`` seeded draws: one aggregate query."""
-        assert self._plan is not None
-        self._record_scan(int(size))
-        if obs.enabled():
-            obs.record_stage_query(backend=self.spec)
-        return layout.evaluate_prefix(
-            int(size), self._plan.label_expression, self._plan.parameters
-        )
+    def evaluate_permutation(self, *args, **kwargs):
+        """Removed; kept as a stub because perfbench's span targets name it."""
+        raise NotImplementedError("estimator-stage pushdown was removed")
 
     def evaluate(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)

@@ -222,11 +222,9 @@ class CountingQuery:
     def _charged_batch(self, size: int, compute: Callable[[], np.ndarray]) -> np.ndarray:
         """Run one oracle batch through the fault plan and charge accounting.
 
-        The single choke point for *everything that counts as predicate
-        evaluation* — per-object batches (:meth:`evaluate`) and pushed-down
-        estimator stages (:class:`StagePushdown`) alike — so fault-plan
-        retry semantics, the evaluation counters and the obs oracle metrics
-        cannot drift between execution paths.  ``compute`` must be a pure
+        Every label batch :meth:`evaluate` charges passes through here, so
+        fault-plan retries, the evaluation counter and the obs oracle
+        metrics are applied in one place.  ``compute`` must be a pure
         function of its closure (labels depend only on the indices), which
         is what makes a retried batch return the exact bytes of an unfaulted
         one while the batch is charged once.  The clock is read only when
@@ -309,33 +307,6 @@ class CountingQuery:
         """Return a label oracle bound to this query (for the estimators)."""
         return self.evaluate
 
-    def stage_pushdown(self) -> "StagePushdown | None":
-        """The estimator-stage pushdown facade, or ``None`` to run client-side.
-
-        Estimators call this once per estimate and branch on the result —
-        never on the backend's concrete class.  ``None`` (→ the numpy path)
-        when the backend advertises no stage capability, or when the bulk
-        label cache is enabled: cached labels are an O(1) array lookup, so
-        replacing them with per-stage SQL would cost round trips to compute
-        the same bytes.
-        """
-        from repro.query.backends import (
-            CAP_SAMPLING_PUSHDOWN,
-            CAP_STRATA_PUSHDOWN,
-            SamplingPushdown,
-            StrataPushdown,
-        )
-
-        if self.cache_labels:
-            return None
-        backend = self.backend
-        tokens = backend.capabilities()
-        strata = isinstance(backend, StrataPushdown) and CAP_STRATA_PUSHDOWN in tokens
-        sampling = isinstance(backend, SamplingPushdown) and CAP_SAMPLING_PUSHDOWN in tokens
-        if not strata and not sampling:
-            return None
-        return StagePushdown(self, strata=strata, sampling=sampling)
-
     def predicate_values(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
         """Raw predicate values for objects whose evaluation was already paid.
 
@@ -375,105 +346,3 @@ class CountingQuery:
             f"features={self.feature_columns}, backend={self.backend_spec!r})"
         )
 
-
-class StagePushdown:
-    """Run whole estimator stages inside a capable backend, verified.
-
-    Built by :meth:`CountingQuery.stage_pushdown`; wraps a backend that
-    satisfies :class:`~repro.query.backends.StrataPushdown` and/or
-    :class:`~repro.query.backends.SamplingPushdown`.  Three invariants:
-
-    * **Accounting**: every stage's labels pass through the query's
-      :meth:`~CountingQuery._charged_batch`, so oracle-call counts, fault
-      retries and obs metrics are byte-identical to the client-side path.
-    * **Verification**: stage queries return the object ids (and stratum
-      ids) alongside labels, and the facade compares them against the
-      caller's client-side expectation — the ``ROW_NUMBER`` ≡ stable-argsort
-      and cuts ≡ design equivalences are *checked at runtime*, not assumed.
-      A divergence raises ``RuntimeError`` rather than silently skewing an
-      estimate.
-    * **Fallback**: every ``materialize_*`` may return ``None`` (no SQL
-      plan, non-finite scores, engine too old), and callers must fall back
-      to the client kernels; both paths produce the same bytes, enforced by
-      the parity gate.
-    """
-
-    def __init__(self, query: CountingQuery, *, strata: bool, sampling: bool) -> None:
-        self._query = query
-        self._backend = query.backend
-        self.supports_strata = strata
-        self.supports_sampling = sampling
-
-    # -- strata stages (LSS) ---------------------------------------------------
-    def strata_layout(self, objects: np.ndarray, scores: np.ndarray, num_strata: int):
-        """Materialise an in-database strata layout, or ``None`` to decline."""
-        if not self.supports_strata:
-            return None
-        return self._backend.materialize_layout(
-            np.asarray(objects, dtype=np.int64),
-            np.asarray(scores, dtype=np.float64),
-            int(num_strata),
-        )
-
-    def stage_labels(
-        self,
-        layout,
-        positions: np.ndarray,
-        expected_objects: np.ndarray,
-        expected_strata: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Labels of one stage's ordinal positions — one charged SQL query."""
-        positions = np.asarray(positions, dtype=np.int64)
-        expected_objects = np.asarray(expected_objects, dtype=np.int64)
-
-        def compute() -> np.ndarray:
-            objects, strata, labels = self._backend.evaluate_layout(layout, positions)
-            if not np.array_equal(objects, expected_objects):
-                raise RuntimeError(
-                    "in-database score ordering diverged from the client ordering; "
-                    "refusing to use pushed-down labels"
-                )
-            if expected_strata is not None and not np.array_equal(
-                strata, np.asarray(expected_strata, dtype=np.int64)
-            ):
-                raise RuntimeError(
-                    "in-database stratum assignment diverged from the designed "
-                    "layout; refusing to use pushed-down labels"
-                )
-            return labels
-
-        return self._query._charged_batch(positions.size, compute)
-
-    # -- seeded-order sampling (LWS) -------------------------------------------
-    def pps_labels(
-        self, objects: np.ndarray, order: np.ndarray, size: int
-    ) -> np.ndarray | None:
-        """Labels of the first ``size`` draws of a seeded PPS permutation.
-
-        The permutation ``order`` is drawn client-side (randomness never
-        moves into the engine); this materialises it as a column and labels
-        the prefix with one charged aggregate query.  Returns ``None`` when
-        the backend declines, and the caller falls back.
-        """
-        if not self.supports_sampling:
-            return None
-        objects = np.asarray(objects, dtype=np.int64)
-        order = np.asarray(order, dtype=np.int64)
-        layout = self._backend.materialize_permutation(objects, order)
-        if layout is None:
-            return None
-        expected = objects[order[: int(size)]]
-
-        def compute() -> np.ndarray:
-            drawn, labels = self._backend.evaluate_permutation(layout, int(size))
-            if not np.array_equal(drawn, expected):
-                raise RuntimeError(
-                    "in-database draw order diverged from the seeded client "
-                    "permutation; refusing to use pushed-down labels"
-                )
-            return labels
-
-        try:
-            return self._query._charged_batch(int(size), compute)
-        finally:
-            layout.close()

@@ -11,18 +11,12 @@ themselves never require it.
 
 from __future__ import annotations
 
-import itertools
 import sqlite3
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.query.table import Table
-
-#: Window functions (ROW_NUMBER/NTILE) arrived in sqlite 3.25; the pushdown
-#: layouts below refuse to materialise on anything older so estimators fall
-#: back to the client-side path instead of failing mid-estimate.
-WINDOW_FUNCTIONS_AVAILABLE = sqlite3.sqlite_version_info >= (3, 25, 0)
 
 
 def quote_identifier(name: str) -> str:
@@ -106,278 +100,6 @@ def table_to_sqlite(
     connection.executemany(f"INSERT INTO {name} VALUES ({placeholders})", rows)
     connection.commit()
     return connection
-
-
-#: Monotonic suffix for scratch-table names, so several layouts can coexist
-#: on one connection (and a leaked layout can never collide with a fresh one).
-_LAYOUT_COUNTER = itertools.count(1)
-
-#: Signature of the lock-retrying read executor the owning backend supplies
-#: (``SqliteBackend._query_rows``): one SELECT, returned as fetched rows.
-RunQuery = Callable[[str, Sequence], list]
-
-
-def _ntile_sizes(population: int, groups: int) -> list[int]:
-    """Group sizes NTILE(groups) produces over ``population`` ordered rows.
-
-    The first ``population % groups`` tiles hold one extra row — the same
-    distribution as ``np.array_split``, which is what lets the materialised
-    NTILE column serve fixed-height stratum layouts verbatim.
-    """
-    base, extra = divmod(population, groups)
-    return [base + 1 if index < extra else base for index in range(groups)]
-
-
-class ScoreLayout:
-    """A scratch strata layout: score ordering + stratum ids inside sqlite.
-
-    Materialised once per sampling phase from ``(object, score)`` pairs in
-    *arbitrary* order: the database re-derives the score ordering with
-    ``ROW_NUMBER() OVER (ORDER BY score, pos)`` — ``pos`` (the position in
-    the uploaded array) breaks ties exactly like the estimators' stable
-    argsort — and assigns an initial fixed-height stratum id with
-    ``NTILE(num_strata)`` over the same window.  Stage queries then join a
-    request table of ordinal positions against the layout and the base
-    table, so each estimator stage (pilot, stage II) is answered by **one**
-    aggregate SELECT instead of per-row probe round-trips.
-
-    All scratch tables are ``TEMP`` (per-connection, dropped with it);
-    :meth:`close` drops them eagerly.  The layout performs no accounting —
-    the counting query charges stage evaluations exactly like ordinary
-    oracle batches.
-    """
-
-    def __init__(
-        self,
-        connection: sqlite3.Connection,
-        run_query: RunQuery,
-        base_table: str,
-        objects: np.ndarray,
-        scores: np.ndarray,
-        num_strata: int,
-    ) -> None:
-        if num_strata <= 0:
-            raise ValueError(f"num_strata must be positive, got {num_strata}")
-        self._connection: sqlite3.Connection | None = connection
-        self._run_query = run_query
-        self._base = base_table
-        self.size = int(objects.size)
-        self.ntile_groups = int(num_strata)
-        token = next(_LAYOUT_COUNTER)
-        self._staging = quote_identifier(f"repro_layout_src_{token}")
-        self._layout = quote_identifier(f"repro_layout_{token}")
-        self._request = quote_identifier(f"repro_layout_req_{token}")
-        self._cuts = quote_identifier(f"repro_layout_cuts_{token}")
-        index_name = quote_identifier(f"repro_layout_ord_{token}")
-        with connection:
-            connection.execute(
-                f"CREATE TEMP TABLE {self._staging} "
-                "(pos INTEGER PRIMARY KEY, obj INTEGER NOT NULL, score REAL NOT NULL)"
-            )
-            connection.executemany(
-                f"INSERT INTO {self._staging} VALUES (?, ?, ?)",
-                zip(range(self.size), objects.tolist(), scores.tolist()),
-            )
-            # The window pass: ordering and fixed-height strata are computed
-            # by the engine, not shipped from the client.  ``ord_pos`` is the
-            # 0-based rank in score order; ``stratum`` starts as the NTILE
-            # fixed-height assignment and is re-cut by ``assign_strata``
-            # once a pilot-driven design exists.
-            connection.execute(
-                f"CREATE TEMP TABLE {self._layout} AS "
-                "SELECT obj, score, "
-                "ROW_NUMBER() OVER (ORDER BY score, pos) - 1 AS ord_pos, "
-                f"NTILE({self.ntile_groups}) OVER (ORDER BY score, pos) - 1 AS stratum "
-                f"FROM {self._staging}"
-            )
-            connection.execute(
-                f"CREATE UNIQUE INDEX {index_name} ON {self._layout} (ord_pos)"
-            )
-            connection.execute(
-                f"CREATE TEMP TABLE {self._request} "
-                "(seq INTEGER PRIMARY KEY, ord_pos INTEGER NOT NULL)"
-            )
-            connection.execute(
-                f"CREATE TEMP TABLE {self._cuts} (cut INTEGER NOT NULL)"
-            )
-
-    def _require_connection(self) -> sqlite3.Connection:
-        if self._connection is None:
-            raise RuntimeError("score layout is closed")
-        return self._connection
-
-    def assign_strata(self, slices: Sequence[tuple[int, int]]) -> None:
-        """Re-cut the stratum column to a designed ``(start, end)`` layout.
-
-        When the design is exactly the fixed-height layout the NTILE pass
-        already materialised, the column is left untouched; otherwise the
-        stratum of every row becomes the number of interior cut points at or
-        below its ordinal position — one small UPDATE over the scratch
-        table, never the base table.
-        """
-        connection = self._require_connection()
-        sizes = [int(end) - int(start) for start, end in slices]
-        if sum(sizes) != self.size:
-            raise ValueError(
-                f"stratum slices cover {sum(sizes)} rows, layout holds {self.size}"
-            )
-        if len(sizes) == self.ntile_groups and sizes == _ntile_sizes(
-            self.size, self.ntile_groups
-        ):
-            return
-        with connection:
-            connection.execute(f"DELETE FROM {self._cuts}")
-            connection.executemany(
-                f"INSERT INTO {self._cuts} VALUES (?)",
-                [(int(start),) for start, _ in list(slices)[1:]],
-            )
-            connection.execute(
-                f"UPDATE {self._layout} SET stratum = "
-                f"(SELECT COUNT(*) FROM {self._cuts} WHERE cut <= ord_pos)"
-            )
-
-    def evaluate_positions(
-        self,
-        positions: np.ndarray,
-        label_expression: str,
-        label_parameters: Sequence,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Labels of the rows at the given ordinal positions — one SELECT.
-
-        The requested positions are staged into the request table (a scratch
-        write, not a probe), then a single aggregate query joins request →
-        layout → base table and computes every label in one round trip.
-        Returns ``(objects, strata, labels)`` aligned with ``positions`` so
-        the caller can verify the in-database ordering against its own.
-        """
-        connection = self._require_connection()
-        positions = np.asarray(positions, dtype=np.int64)
-        with connection:
-            connection.execute(f"DELETE FROM {self._request}")
-            connection.executemany(
-                f"INSERT INTO {self._request} VALUES (?, ?)",
-                zip(range(positions.size), positions.tolist()),
-            )
-        sql = (
-            f"SELECT r.seq, l.obj, l.stratum, {label_expression} "
-            f"FROM {self._request} r "
-            f"JOIN {self._layout} l ON l.ord_pos = r.ord_pos "
-            f"JOIN {self._base} o1 ON o1.rowidx = l.obj "
-            "ORDER BY r.seq"
-        )
-        rows = self._run_query(sql, tuple(label_parameters))
-        if len(rows) != positions.size:
-            raise RuntimeError(
-                f"stage query returned {len(rows)} rows for {positions.size} "
-                "requested positions; the layout does not cover the request"
-            )
-        objects = np.fromiter((row[1] for row in rows), dtype=np.int64, count=len(rows))
-        strata = np.fromiter((row[2] for row in rows), dtype=np.int64, count=len(rows))
-        labels = np.fromiter(
-            (float(row[3]) for row in rows), dtype=np.float64, count=len(rows)
-        )
-        return objects, strata, labels
-
-    def stratum_sizes(self) -> list[int]:
-        """Row count per stratum id, read back from the layout (audits/tests)."""
-        rows = self._run_query(
-            f"SELECT stratum, COUNT(*) FROM {self._layout} "
-            "GROUP BY stratum ORDER BY stratum",
-            (),
-        )
-        by_id = {int(stratum): int(count) for stratum, count in rows}
-        groups = max(by_id, default=-1) + 1
-        return [by_id.get(index, 0) for index in range(groups)]
-
-    def close(self) -> None:
-        """Drop the scratch tables; idempotent, safe on a closed connection."""
-        connection, self._connection = self._connection, None
-        if connection is None:
-            return
-        try:
-            with connection:
-                for name in (self._request, self._cuts, self._layout, self._staging):
-                    connection.execute(f"DROP TABLE IF EXISTS {name}")
-        except sqlite3.Error:  # pragma: no cover - connection already closed
-            pass
-
-
-class PermutationLayout:
-    """A scratch seeded-draw-order column: PPS sampling answered by one SELECT.
-
-    The client's seeded RNG fixes the full draw permutation (the
-    exponential-races keys of
-    :func:`repro.sampling.weighted.pps_permutation`); this layout stores it
-    as a ``perm_rank`` column, after which *any* prefix of the draw sequence
-    — the whole LWS sampling stage — is one aggregate query:
-    ``WHERE perm_rank < n ORDER BY perm_rank``.  Randomness stays
-    client-side (that is what keeps estimates byte-identical to numpy);
-    only the label evaluation moves into the engine.
-    """
-
-    def __init__(
-        self,
-        connection: sqlite3.Connection,
-        run_query: RunQuery,
-        base_table: str,
-        objects: np.ndarray,
-        order: np.ndarray,
-    ) -> None:
-        self._connection: sqlite3.Connection | None = connection
-        self._run_query = run_query
-        self._base = base_table
-        self.size = int(order.size)
-        token = next(_LAYOUT_COUNTER)
-        self._table = quote_identifier(f"repro_perm_{token}")
-        drawn = np.asarray(objects, dtype=np.int64)[np.asarray(order, dtype=np.int64)]
-        with connection:
-            connection.execute(
-                f"CREATE TEMP TABLE {self._table} "
-                "(perm_rank INTEGER PRIMARY KEY, obj INTEGER NOT NULL)"
-            )
-            connection.executemany(
-                f"INSERT INTO {self._table} VALUES (?, ?)",
-                zip(range(self.size), drawn.tolist()),
-            )
-
-    def evaluate_prefix(
-        self,
-        size: int,
-        label_expression: str,
-        label_parameters: Sequence,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Labels of the first ``size`` draws, in draw order — one SELECT."""
-        if self._connection is None:
-            raise RuntimeError("permutation layout is closed")
-        sql = (
-            f"SELECT p.perm_rank, p.obj, {label_expression} "
-            f"FROM {self._table} p "
-            f"JOIN {self._base} o1 ON o1.rowidx = p.obj "
-            "WHERE p.perm_rank < ? "
-            "ORDER BY p.perm_rank"
-        )
-        rows = self._run_query(sql, (*label_parameters, int(size)))
-        if len(rows) != int(size):
-            raise RuntimeError(
-                f"permutation stage query returned {len(rows)} rows for a "
-                f"prefix of {size}; the layout does not cover the draw"
-            )
-        objects = np.fromiter((row[1] for row in rows), dtype=np.int64, count=len(rows))
-        labels = np.fromiter(
-            (float(row[2]) for row in rows), dtype=np.float64, count=len(rows)
-        )
-        return objects, labels
-
-    def close(self) -> None:
-        """Drop the scratch table; idempotent, safe on a closed connection."""
-        connection, self._connection = self._connection, None
-        if connection is None:
-            return
-        try:
-            with connection:
-                connection.execute(f"DROP TABLE IF EXISTS {self._table}")
-        except sqlite3.Error:  # pragma: no cover - connection already closed
-            pass
 
 
 class SQLCountingBackend:

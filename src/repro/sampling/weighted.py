@@ -53,9 +53,7 @@ def pps_permutation(
     ``Exp(p_i)`` draws ascending reproduces sequential PPS sampling without
     replacement, so element ``k`` of the returned permutation is the ``k``-th
     draw.  The RNG consumption is one ``exponential(size=n)`` call regardless
-    of how much of the permutation is later used — which is what lets a
-    sampling-pushdown backend store the whole permutation as a column and
-    answer any prefix, byte-identical to drawing client-side.
+    of how much of the permutation is later used.
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
     if probabilities.ndim != 1:
@@ -177,7 +175,6 @@ class WeightedSampling:
         sample_size: int,
         seed: SeedLike = None,
         method: str | None = None,
-        pushdown=None,
     ) -> CountEstimate:
         """Estimate the count of positives among ``objects``.
 
@@ -188,13 +185,6 @@ class WeightedSampling:
             oracle: expensive predicate, evaluated once per drawn object.
             sample_size: number of predicate evaluations to spend.
             seed: RNG seed or generator.
-            pushdown: optional
-                :class:`~repro.query.counting.StagePushdown`; when it
-                accepts, the seeded permutation is materialised in the
-                backend and the whole sampling stage is one aggregate query.
-                Labels, accounting and the estimate are byte-identical to
-                the client-side path (the seed fixes the permutation before
-                any pushdown decision is made).
         """
         objects = as_index_array(objects)
         if objects.size == 0:
@@ -207,15 +197,10 @@ class WeightedSampling:
             raise ValueError("sample_size must be positive")
 
         probabilities = normalise_size_measures(size_measures, floor=self.floor)
-        order = pps_permutation(probabilities, seed=seed)
-        positions = order[:sample_size]
+        positions = pps_permutation(probabilities, seed=seed)[:sample_size]
         drawn_objects = objects[positions]
         drawn_probabilities = probabilities[positions]
-        labels = None
-        if pushdown is not None:
-            labels = pushdown.pps_labels(objects, order, sample_size)
-        if labels is None:
-            labels = evaluate_labels(oracle, drawn_objects)
+        labels = evaluate_labels(oracle, drawn_objects)
 
         estimator = DesRajEstimator(population_size=objects.size)
         result = estimator.estimate(labels, drawn_probabilities)

@@ -32,7 +32,7 @@ from repro.core.scores import LearnedScoresSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.fingerprint import estimate_fingerprint, estimates_fingerprint
 from repro.parallel.methods import METHODS, MethodSpec
-from repro.parallel.tasks import execute_trials, trial_tasks
+from repro.parallel.tasks import run_single_trial, trial_tasks
 from repro.query.counting import CountingQuery
 from repro.sampling.rng import SeedLike
 from repro.sampling.stratified import attribute_grid_strata
@@ -501,11 +501,11 @@ class Session:
         cache) and every sweep point re-stratifies from them; the learning
         set's labels transfer to each point's threshold through the
         predicate's value decomposition at zero oracle cost.  Each point's
-        trials execute through serial
-        :func:`~repro.parallel.tasks.execute_trials` with a
+        trials execute serially through
+        :func:`~repro.parallel.tasks.run_single_trial` with a
         :class:`~repro.service.sweep.ScoredMethodSpec`, so any point is
         byte-reproducible from ``(request seed, point index, point count)``
-        alone.
+        alone, and its estimates keep their ``details`` (design, fallbacks).
         """
         if not levels:
             raise ValueError("sweep needs at least one level")
@@ -547,8 +547,7 @@ class Session:
                 tasks = trial_tasks(
                     sweep_point_seed(seed, index, len(levels)), num_trials, resolved_budget
                 )
-                trial_results = execute_trials(workload, method_spec, tasks)
-                estimates = [record.to_estimate() for record in trial_results]
+                estimates = [run_single_trial(workload, method_spec, task) for task in tasks]
                 self.stats.sweep_points_served += 1
                 self.stats.estimates_served += len(estimates)
                 self.stats.oracle_calls += sum(e.predicate_evaluations for e in estimates)

@@ -24,13 +24,9 @@ from repro.parallel.methods import METHODS, MethodSpec
 from repro.query.backends import (
     CAP_EVALUATE,
     CAP_PREDICATE_PUSHDOWN,
-    CAP_SAMPLING_PUSHDOWN,
-    CAP_STRATA_PUSHDOWN,
     ChunkedBackend,
     NumpyBackend,
-    SamplingPushdown,
     SqliteBackend,
-    StrataPushdown,
     canonical_backend_spec,
     make_backend,
 )
@@ -40,7 +36,6 @@ from repro.query.predicates import (
     NeighborCountPredicate,
     SkybandPredicate,
 )
-from repro.query.sql import WINDOW_FUNCTIONS_AVAILABLE, _ntile_sizes
 from repro.query.table import Table
 from repro.workloads.queries import WorkloadSpec
 from repro.workloads.runner import TrialRunner
@@ -49,18 +44,13 @@ ALL_BACKEND_SPECS = (
     "numpy",
     "sqlite",
     "sqlite:pushdown=off",
-    "sqlite:pushdown=full",
     "chunked:1",
     "chunked:7",
     "chunked:4096",
 )
 
 #: The SqliteBackend pushdown grid the estimator-level tests sweep.
-PUSHDOWN_SPECS = ("sqlite:pushdown=off", "sqlite", "sqlite:pushdown=full")
-
-needs_window_functions = pytest.mark.skipif(
-    not WINDOW_FUNCTIONS_AVAILABLE, reason="sqlite without window functions"
-)
+PUSHDOWN_SPECS = ("sqlite:pushdown=off", "sqlite")
 
 SETTINGS = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -367,8 +357,8 @@ class TestSqliteSpecOptions:
         assert canonical_backend_spec("sqlite:pushdown=counts") == "sqlite"
         assert canonical_backend_spec("sqlite:database=:memory:") == "sqlite"
         assert (
-            canonical_backend_spec("sqlite:pushdown=full,database=:memory:")
-            == "sqlite:pushdown=full"
+            canonical_backend_spec("sqlite:pushdown=off,database=:memory:")
+            == "sqlite:pushdown=off"
         )
 
     def test_non_default_options_render_sorted(self):
@@ -390,17 +380,23 @@ class TestSqliteSpecOptions:
         with pytest.raises(ValueError, match=fragment):
             canonical_backend_spec(bad)
 
+    def test_full_level_is_rejected(self, small_points_table):
+        with pytest.raises(ValueError, match="'off', 'counts'"):
+            canonical_backend_spec("sqlite:pushdown=full")
+        with pytest.raises(ValueError, match="'off', 'counts'"):
+            SqliteBackend(small_points_table, SkybandPredicate("x", "y", k=3), pushdown="full")
+
     def test_make_backend_routes_options(self, small_points_table):
         predicate = SkybandPredicate("x", "y", k=3)
-        backend = make_backend("sqlite:pushdown=full", small_points_table, predicate)
+        backend = make_backend("sqlite:pushdown=off", small_points_table, predicate)
         assert isinstance(backend, SqliteBackend)
-        assert backend.pushdown == "full"
-        assert backend.spec == "sqlite:pushdown=full"
+        assert backend.pushdown == "off"
+        assert backend.spec == "sqlite:pushdown=off"
         backend.close()
 
     def test_workload_spec_accepts_pushdown_options(self):
-        spec = WorkloadSpec(dataset="neighbors", num_rows=120, backend="sqlite:pushdown=full")
-        assert spec.backend == "sqlite:pushdown=full"
+        spec = WorkloadSpec(dataset="neighbors", num_rows=120, backend="sqlite:pushdown=off")
+        assert spec.backend == "sqlite:pushdown=off"
         dflt = WorkloadSpec(dataset="neighbors", num_rows=120, backend="sqlite:pushdown=counts")
         assert dflt.backend == "sqlite"
 
@@ -413,25 +409,16 @@ class TestCapabilities:
             level: make_backend(
                 f"sqlite:pushdown={level}", small_points_table, predicate
             ).capabilities()
-            for level in ("off", "counts", "full")
+            for level in ("off", "counts")
         }
         assert caps["off"] == (CAP_EVALUATE,)
         assert caps["counts"] == (CAP_EVALUATE, CAP_PREDICATE_PUSHDOWN)
-        if WINDOW_FUNCTIONS_AVAILABLE:
-            assert caps["full"] == (
-                CAP_EVALUATE,
-                CAP_PREDICATE_PUSHDOWN,
-                CAP_STRATA_PUSHDOWN,
-                CAP_SAMPLING_PUSHDOWN,
-            )
-        else:
-            assert caps["full"] == (CAP_EVALUATE, CAP_PREDICATE_PUSHDOWN)
 
     def test_callable_predicate_never_advertises_pushdown(self, small_points_table):
         predicate = CallablePredicate(
             lambda table, index: table["x"][index] > 5.0, feature_columns=("x",)
         )
-        backend = make_backend("sqlite:pushdown=full", small_points_table, predicate)
+        backend = make_backend("sqlite", small_points_table, predicate)
         assert backend.capabilities() == (CAP_EVALUATE,)
 
     def test_baseline_backends_advertise_evaluate_only(self, small_points_table):
@@ -443,16 +430,6 @@ class TestCapabilities:
         predicate = SkybandPredicate("x", "y", k=3)
         backend = make_backend("sqlite:pushdown=off", small_points_table, predicate)
         assert "capabilities=evaluate" in repr(backend)
-
-    @needs_window_functions
-    def test_pushdown_protocols_are_runtime_checkable(self, small_points_table):
-        predicate = SkybandPredicate("x", "y", k=3)
-        backend = make_backend("sqlite:pushdown=full", small_points_table, predicate)
-        assert isinstance(backend, StrataPushdown)
-        assert isinstance(backend, SamplingPushdown)
-        # Structural typing alone is not enough: a numpy backend has no
-        # materialize_* surface, so the isinstance gate must reject it.
-        assert not isinstance(NumpyBackend(small_points_table, predicate), StrataPushdown)
 
     def test_parity_report_carries_capabilities(self):
         report = run_backend_parity(
@@ -479,7 +456,7 @@ class TestSqliteConstructorShim:
         indices = np.arange(small_points_table.num_rows)
         for spec, options in (
             ("sqlite:pushdown=off", {"pushdown": "off"}),
-            ("sqlite:pushdown=full", {"pushdown": "full"}),
+            ("sqlite", {"pushdown": "counts"}),
         ):
             keyword = SqliteBackend(small_points_table, predicate, **options)
             via_spec = make_backend(spec, small_points_table, predicate)
@@ -496,7 +473,7 @@ class TestSqliteConstructorShim:
         predicate = SkybandPredicate("x", "y", k=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for spec in ("sqlite", "sqlite:pushdown=full"):
+            for spec in ("sqlite", "sqlite:pushdown=off"):
                 make_backend(spec, small_points_table, predicate).close()
 
 
@@ -549,19 +526,7 @@ class TestChunkedScanAccounting:
         assert scanned == indices.size
 
 
-# -- NTILE layout arithmetic ---------------------------------------------------
-class TestNtileSizes:
-    @SETTINGS
-    @given(
-        population=st.integers(0, 4000),
-        groups=st.integers(1, 64),
-    )
-    def test_matches_array_split(self, population, groups):
-        expected = [part.size for part in np.array_split(np.arange(population), groups)]
-        assert _ntile_sizes(population, groups) == expected
-
-
-# -- estimator-stage pushdown --------------------------------------------------
+# -- pushdown levels through the estimators ------------------------------------
 def _estimate_fingerprint(estimate):
     return (
         estimate.count,
@@ -577,7 +542,7 @@ def _pushdown_query(table, predicate, spec):
 
 
 class TestPushdownGrid:
-    """pushdown=off/counts/full must be byte-identical for LWS and LSS."""
+    """pushdown=off/counts must be byte-identical for LWS and LSS."""
 
     @pytest.mark.parametrize("make_predicate", [
         lambda: NeighborCountPredicate("x", "y", max_neighbors=3, distance=0.5),
@@ -599,8 +564,8 @@ class TestPushdownGrid:
     @pytest.mark.parametrize("method", ["lws", "lss"])
     def test_tie_heavy_scores_byte_identical(self, method):
         # Integer-grid points: features collapse onto a handful of values, so
-        # classifier scores are tie-heavy and the ROW_NUMBER tie-break
-        # (score, then upload position) carries the ordering.
+        # classifier scores are tie-heavy and the stable argsort's tie-break
+        # carries the ordering.
         rng = np.random.default_rng(7)
         grid = rng.integers(0, 4, size=(180, 2)).astype(np.float64)
         table = Table({"x": grid[:, 0], "y": grid[:, 1]}, name="grid")
@@ -629,44 +594,14 @@ class TestPushdownGrid:
         assert len(fingerprints) == 1
 
     def test_cached_labels_skip_pushdown_but_stay_identical(self, small_points_table):
-        # With the bulk label cache on, stage pushdown is pointless (the
-        # cache is O(1)); the estimator must silently stay client-side and
-        # produce the same bytes.
+        # With the bulk label cache on, labels come from one ground-truth
+        # pass instead of per-batch SQL probes; the bytes must not change.
         predicate = SkybandPredicate("x", "y", k=5)
-        cached = CountingQuery(
-            small_points_table, predicate, backend="sqlite:pushdown=full", cache_labels=True
-        )
-        assert cached.stage_pushdown() is None
-        uncached = _pushdown_query(small_points_table, predicate, "sqlite:pushdown=full")
+        cached = CountingQuery(small_points_table, predicate, backend="sqlite", cache_labels=True)
+        uncached = _pushdown_query(small_points_table, predicate, "sqlite")
         a = LearnedStratifiedSampling().estimate(cached, 80, seed=3)
         b = LearnedStratifiedSampling().estimate(uncached, 80, seed=3)
         assert _estimate_fingerprint(a) == _estimate_fingerprint(b)
-
-    @needs_window_functions
-    def test_nan_scores_decline_layout(self, small_points_table):
-        predicate = SkybandPredicate("x", "y", k=3)
-        backend = make_backend("sqlite:pushdown=full", small_points_table, predicate)
-        scores = np.linspace(0.0, 1.0, small_points_table.num_rows)
-        scores[3] = np.nan
-        objects = np.arange(small_points_table.num_rows)
-        assert backend.materialize_layout(objects, scores, 4) is None
-
-    @needs_window_functions
-    def test_ordering_divergence_raises(self, small_points_table):
-        predicate = SkybandPredicate("x", "y", k=3)
-        query = _pushdown_query(small_points_table, predicate, "sqlite:pushdown=full")
-        pushdown = query.stage_pushdown()
-        assert pushdown is not None and pushdown.supports_strata
-        objects = np.arange(small_points_table.num_rows)
-        scores = np.linspace(0.0, 1.0, objects.size)
-        layout = pushdown.strata_layout(objects, scores, 4)
-        try:
-            positions = np.arange(5)
-            wrong_expectation = objects[positions] + 1
-            with pytest.raises(RuntimeError, match="diverged"):
-                pushdown.stage_labels(layout, positions, wrong_expectation)
-        finally:
-            layout.close()
 
 
 @SETTINGS
@@ -712,10 +647,6 @@ _SKYBAND_POINTS = (
     (2, 2), (3, 3), (3, 3), (4, 1), (1, 4), (0, 0), (4, 4), (4, 3), (0, 5), (0, 4),
 )
 
-#: pushdown levels whose labels come out of the early-exit SQL.
-_SQL_LABEL_SPECS = ("sqlite", "sqlite:pushdown=full")
-
-
 def _points_table(points, name):
     coordinates = np.asarray(points, dtype=np.float64)
     return Table({"x": coordinates[:, 0], "y": coordinates[:, 1]}, name=name)
@@ -743,45 +674,23 @@ class TestThresholdBoundaryParity:
     the skyband subquery after ``k``; both are exact only if the limit is
     one past the last count that still passes.  These tables put objects
     exactly on the count threshold (k and k + 1 neighbours, k - 1 and k
-    dominators) and on the radius, and compare every SQL label path with
-    numpy: probe batches, ground truth and a ``full``-level stage.
+    dominators) and on the radius, and compare both SQL label paths with
+    numpy: probe batches and ground truth.
     """
 
     @staticmethod
     def _assert_sql_paths_match_numpy(table, predicate):
-        reference = NumpyBackend(table, predicate)
-        expected = reference.evaluate_all()
+        expected = NumpyBackend(table, predicate).evaluate_all()
         rng = np.random.default_rng(5)
         # shuffled, with repeats, so batches are not in rowidx order
         probe = rng.permutation(np.concatenate([np.arange(table.num_rows)] * 2))
-        objects = rng.permutation(table.num_rows)
-        scores = rng.random(table.num_rows)
-        for spec in _SQL_LABEL_SPECS:
-            backend = make_backend(spec, table, predicate)
-            try:
-                assert CAP_PREDICATE_PUSHDOWN in backend.capabilities()
-                assert backend.evaluate_all().tobytes() == expected.tobytes(), spec
-                assert backend.evaluate(probe).tobytes() == expected[probe].tobytes(), spec
-                if CAP_STRATA_PUSHDOWN not in backend.capabilities():
-                    continue
-                layout = backend.materialize_layout(objects, scores, 3)
-                try:
-                    staged, _, labels = backend.evaluate_layout(
-                        layout, np.arange(table.num_rows)
-                    )
-                finally:
-                    layout.close()
-                assert labels.tobytes() == expected[staged].tobytes(), spec
-                permutation = backend.materialize_permutation(
-                    objects, rng.permutation(table.num_rows)
-                )
-                try:
-                    drawn, labels = backend.evaluate_permutation(permutation, table.num_rows)
-                finally:
-                    permutation.close()
-                assert labels.tobytes() == expected[drawn].tobytes(), spec
-            finally:
-                backend.close()
+        backend = make_backend("sqlite", table, predicate)
+        try:
+            assert CAP_PREDICATE_PUSHDOWN in backend.capabilities()
+            assert backend.evaluate_all().tobytes() == expected.tobytes()
+            assert backend.evaluate(probe).tobytes() == expected[probe].tobytes()
+        finally:
+            backend.close()
 
     @pytest.mark.parametrize("max_neighbors", [0, 1, 2, 3])
     def test_neighbor_counts_at_the_threshold(self, max_neighbors):
@@ -872,7 +781,7 @@ class TestThresholdBoundaryParity:
 
 # -- SQL round-trip accounting under pushdown ----------------------------------
 class TestStageQueryAccounting:
-    """Under ``pushdown=full`` each estimator stage costs one aggregate query."""
+    """``counts`` labels through batched probe round trips; ``off`` issues none."""
 
     def _run(self, small_points_table, spec, method, budget, seed=20190621):
         predicate = SkybandPredicate("x", "y", k=5)
@@ -884,47 +793,16 @@ class TestStageQueryAccounting:
                 LearnedWeightedSampling() if method == "lws" else LearnedStratifiedSampling()
             )
             estimator.estimate(query, budget, seed=seed)
-            registry = obs.registry()
-            return {
-                "roundtrips": registry.counter_total(obs.SQL_ROUNDTRIPS, backend=spec),
-                "stage_queries": registry.counter_total(obs.SQL_STAGE_QUERIES, backend=spec),
-                "by_stage": {
-                    stage: registry.counter_total(
-                        obs.SQL_STAGE_QUERIES, backend=spec, stage=stage
-                    )
-                    for stage in ("lws.sampling", "lss.pilot", "lss.stage2")
-                },
-            }
+            return obs.registry().counter_total(obs.SQL_ROUNDTRIPS, backend=spec)
         finally:
             obs.set_enabled(previous)
             obs.reset()
 
-    @needs_window_functions
-    def test_lws_full_one_stage_query(self, small_points_table):
-        counters = self._run(small_points_table, "sqlite:pushdown=full", "lws", 60)
-        # One batched probe round trip for the learning phase, then the
-        # entire weighted-sampling stage answered by one aggregate query.
-        assert counters["stage_queries"] == 1
-        assert counters["by_stage"]["lws.sampling"] == 1
-        assert counters["roundtrips"] == 1
-
-    @needs_window_functions
-    def test_lss_full_one_stage_query_per_stage(self, small_points_table):
-        counters = self._run(small_points_table, "sqlite:pushdown=full", "lss", 80)
-        assert counters["stage_queries"] == 2
-        assert counters["by_stage"]["lss.pilot"] == 1
-        assert counters["by_stage"]["lss.stage2"] == 1
-        assert counters["roundtrips"] == 1
-
     def test_counts_level_uses_probe_roundtrips(self, small_points_table):
-        counters = self._run(small_points_table, "sqlite", "lss", 80)
-        assert counters["stage_queries"] == 0
-        assert counters["roundtrips"] >= 2
+        assert self._run(small_points_table, "sqlite", "lss", 80) >= 2
 
     def test_off_level_never_touches_sql(self, small_points_table):
-        counters = self._run(small_points_table, "sqlite:pushdown=off", "lss", 80)
-        assert counters["stage_queries"] == 0
-        assert counters["roundtrips"] == 0
+        assert self._run(small_points_table, "sqlite:pushdown=off", "lss", 80) == 0
 
 
 # -- capabilities surface in the service ---------------------------------------
@@ -932,12 +810,10 @@ class TestServiceCapabilityStats:
     def test_stats_report_backend_capabilities(self):
         from repro.service.session import Session
 
-        with Session(
-            "neighbors", num_rows=120, backend="sqlite:pushdown=full", cache_labels=False
-        ) as session:
+        with Session("neighbors", num_rows=120, backend="sqlite", cache_labels=False) as session:
             session.estimate("srs", budget_fraction=0.1, num_trials=1, seed=11)
             stats = session.stats_dict()
             backends = {entry["spec"]: entry for entry in stats["backends"]}
-            assert "sqlite:pushdown=full" in backends
-            caps = backends["sqlite:pushdown=full"]["capabilities"]
+            assert "sqlite" in backends
+            caps = backends["sqlite"]["capabilities"]
             assert CAP_EVALUATE in caps

@@ -178,6 +178,29 @@ class TestSessionSweep:
             )
             assert sweep.points[index].fingerprint == expected
 
+    def test_sweep_estimates_keep_their_diagnostics(self, anchor_spec):
+        # A pilot of 4 objects is too small for DynPgm, so every trial takes
+        # the fixed-height fallback, and the served estimate must say so.
+        with Session(anchor_spec) as session:
+            sweep = session.sweep(
+                [0.1, 0.25], "lss", budget=8, num_trials=2, seed=23,
+                learn_budget=30, learn_seed=5,
+            )
+        for point in sweep.points:
+            for estimate in point.estimates:
+                assert estimate.details["design"].algorithm == "fixed-height"
+                assert estimate.details["design_fallback"] == "fixed_height"
+        scored = ScoredMethodSpec(
+            method="lss",
+            anchor=anchor_spec,
+            scores=LearnedScoresSpec(learn_budget=30, learn_seed=5),
+        )
+        point_spec = WorkloadSpec(
+            dataset="neighbors", level=0.25, num_rows=NUM_ROWS, seed=TABLE_SEED
+        )
+        expected = _serial_fingerprint(point_spec, scored, sweep_point_seed(23, 1, 2), 8, 2)
+        assert sweep.points[1].fingerprint == expected
+
     def test_lws_sweep_supported(self, anchor_spec):
         with Session(anchor_spec) as session:
             sweep = session.sweep(
