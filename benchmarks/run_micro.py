@@ -1,7 +1,8 @@
 """Tracked micro-benchmarks for the vectorized kernel layer.
 
 Each benchmark times one vectorized kernel against the retained
-``*_reference`` scalar implementation on a deterministic, seeded workload,
+``*_reference`` scalar implementation (for the forest kernels, the reference
+CART in ``tests/reference_tree.py``) on a deterministic, seeded workload,
 verifies that both produce identical results, and reports the speedup.  The
 driver emits ``BENCH_micro.json`` at the repository root so successive PRs
 leave a perf trajectory (`BENCH_*.json`) that CI can archive; the document
@@ -30,11 +31,15 @@ from typing import Callable
 
 _REPO_ROOT = pathlib.Path(__file__).parent.parent
 _SRC = _REPO_ROOT / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_TESTS = _REPO_ROOT / "tests"
+for _path in (_SRC, _TESTS):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np  # noqa: E402
+from reference_tree import fit_forest_reference, forest_scores_reference  # noqa: E402
 
+from repro.core.learning_phase import default_classifier  # noqa: E402
 from repro.core.stratification.design import PilotSample  # noqa: E402
 from repro.core.stratification.dirsol import dirsol_design, dirsol_design_reference  # noqa: E402
 from repro.core.stratification.dynpgm import dynpgm_design, dynpgm_design_reference  # noqa: E402
@@ -212,6 +217,52 @@ def bench_counting_batch(scale: str = "full", repeats: int = 3) -> dict:
     return _entry("counting_evaluate_batch", reference_seconds, kernel_seconds)
 
 
+def _learning_sample(scale: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All Neighbors points plus a labelled learning sample of them."""
+    num_points = 12_000 if scale == "full" else 3_000
+    table = _neighbor_table(num_points)
+    predicate = NeighborCountPredicate(
+        NEIGHBOR_X_COLUMN, NEIGHBOR_Y_COLUMN, max_neighbors=6, distance=NEIGHBOR_RADIUS
+    )
+    query = CountingQuery(table, predicate, name="micro", cache_labels=False)
+    rng = spawn_seeds(2024, 8)[5]
+    sample = rng.choice(num_points, 200 if scale == "full" else 75, replace=False)
+    points = table.columns([NEIGHBOR_X_COLUMN, NEIGHBOR_Y_COLUMN])
+    return points, points[sample], query.evaluate(sample)
+
+
+def _assert_same_nodes(forest, reference: list[dict]) -> None:
+    for tree, nodes in zip(forest.trees_, reference, strict=True):
+        for key, array in nodes.items():
+            assert tree.nodes_[key].tobytes() == array.tobytes(), "forest fit diverged"
+
+
+def bench_forest_fit(scale: str = "full", repeats: int = 3) -> dict:
+    """The estimators' default forest fitted on a labelled learning sample."""
+    _, features, labels = _learning_sample(scale)
+    model = default_classifier(seed=7)
+    reference_seconds, reference = _best_of(
+        lambda: fit_forest_reference(model, features, labels), repeats
+    )
+    kernel_seconds, _ = _best_of(lambda: model.fit(features, labels), repeats)
+    _assert_same_nodes(model, reference)
+    return _entry("forest_fit", reference_seconds, kernel_seconds)
+
+
+def bench_forest_predict(scale: str = "full", repeats: int = 3) -> dict:
+    """The default forest scoring every object of the table."""
+    points, features, labels = _learning_sample(scale)
+    model = default_classifier(seed=7).fit(features, labels)
+    reference = fit_forest_reference(model, features, labels)
+    _assert_same_nodes(model, reference)
+    reference_seconds, expected = _best_of(
+        lambda: forest_scores_reference(reference, points), repeats
+    )
+    kernel_seconds, scores = _best_of(lambda: model.predict_scores(points), repeats)
+    assert scores.tobytes() == expected.tobytes(), "forest scores diverged"
+    return _entry("forest_predict_scores", reference_seconds, kernel_seconds)
+
+
 BENCHMARKS: tuple[Callable[..., dict], ...] = (
     bench_grid_bulk,
     bench_grid_batch,
@@ -219,6 +270,8 @@ BENCHMARKS: tuple[Callable[..., dict], ...] = (
     bench_dynpgm,
     bench_stratified_estimate,
     bench_counting_batch,
+    bench_forest_fit,
+    bench_forest_predict,
 )
 
 

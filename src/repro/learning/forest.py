@@ -3,6 +3,11 @@
 The paper's default classifier (``n_estimators=100`` in the experiments).
 The forest score is the average of its trees' leaf positive fractions, which
 the paper notes can be read as the probability that ``q(o) = 1``.
+
+The forest validates its input once per call and hands every tree the same
+contiguous feature columns: trees grow on their bootstrap row ids without
+copying the data, and all trees route into one score vector
+(:mod:`repro.learning.tree` explains why the sum order is unchanged).
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.learning.base import Classifier, check_features, check_labels
-from repro.learning.tree import DecisionTreeClassifier
+from repro.learning.tree import DecisionTreeClassifier, feature_columns
 
 
 class RandomForestClassifier(Classifier):
@@ -46,6 +51,7 @@ class RandomForestClassifier(Classifier):
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "RandomForestClassifier":
         features = check_features(features)
         labels = check_labels(labels, features.shape[0])
+        columns = np.ascontiguousarray(features.T)
         rng = np.random.default_rng(self.seed)
         n_rows = features.shape[0]
 
@@ -62,7 +68,7 @@ class RandomForestClassifier(Classifier):
                 max_features=self.max_features,
                 seed=tree_seed,
             )
-            tree.fit(features[rows], labels[rows])
+            tree._grow(columns, labels, rows)
             trees.append(tree)
         self.trees_ = trees
         self.num_features_ = features.shape[1]
@@ -70,8 +76,9 @@ class RandomForestClassifier(Classifier):
 
     def predict_scores(self, features: np.ndarray) -> np.ndarray:
         self._require_fitted()
-        features = check_features(features)
-        scores = np.zeros(features.shape[0], dtype=np.float64)
+        columns = feature_columns(features, self.num_features_)
+        rows = np.arange(columns.shape[1])
+        scores = np.zeros(rows.size, dtype=np.float64)
         for tree in self.trees_:
-            scores += tree.predict_scores(features)
+            tree._route(columns, rows, scores)
         return scores / len(self.trees_)

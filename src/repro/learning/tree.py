@@ -5,78 +5,72 @@ classifier for LWS/LSS/QL) is an ensemble of these trees.  The tree grows
 greedily by minimising the weighted Gini impurity of each split; leaf values
 are positive fractions, which makes a single tree's score the empirical
 positive probability in the leaf.
+
+Both kernels work on feature *columns*: ``columns[f]`` is feature ``f`` as
+one contiguous vector over all rows, and a node holds the ids of its rows.
+
+- Growth is depth-first.  A node's value is computed once, when it is
+  popped, and its split search gathers only the candidate columns at its
+  rows.  The RNG draws one feature subset per split node in pop order, so a
+  tree depends only on its seed and its rows, not on how they are stored.
+- Scoring walks the tree once with an explicit stack.  Each internal node
+  compares only its own rows against its threshold; each leaf adds its
+  value into the caller's score vector (``scores[rows] += value``).  Every
+  row reaches exactly one leaf per tree, so a forest that routes its trees
+  in order into one vector adds each row's leaf values in tree order: the
+  same float sum as adding whole per-tree score vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.learning.base import Classifier, check_features, check_labels
 
 
-@dataclass
-class _TreeNodes:
-    """Flat array representation of a fitted tree."""
-
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
-
-    def add(self, value: float) -> int:
-        """Append a new (leaf) node and return its id."""
-        self.feature.append(-1)
-        self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        return len(self.value) - 1
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "feature": np.asarray(self.feature, dtype=np.int64),
-            "threshold": np.asarray(self.threshold, dtype=np.float64),
-            "left": np.asarray(self.left, dtype=np.int64),
-            "right": np.asarray(self.right, dtype=np.int64),
-            "value": np.asarray(self.value, dtype=np.float64),
-        }
+def feature_columns(features: np.ndarray, num_features: int) -> np.ndarray:
+    """Validate a prediction matrix and return its features as contiguous rows."""
+    features = check_features(features)
+    if features.shape[1] != num_features:
+        raise ValueError(f"expected {num_features} features, got {features.shape[1]}")
+    return np.ascontiguousarray(features.T)
 
 
 def _best_split(
-    features: np.ndarray,
+    columns: np.ndarray,
+    rows: np.ndarray,
     labels: np.ndarray,
-    feature_indices: np.ndarray,
+    feature_indices: Sequence[int] | np.ndarray,
     min_samples_leaf: int,
-) -> tuple[int, float, float] | None:
+) -> tuple[int, float] | None:
     """Find the (feature, threshold) pair minimising weighted Gini impurity.
 
-    Returns ``None`` when no valid split exists (all candidate features are
-    constant or the leaf-size constraint cannot be met).
+    ``labels`` are the labels of ``rows``.  Only the cut positions that
+    leave ``min_samples_leaf`` rows on both sides are scored: cutting after
+    sorted position ``p`` puts ``p + 1`` rows left, so ``p`` runs over
+    ``[min_samples_leaf - 1, n - min_samples_leaf)``.  Returns ``None`` when
+    no valid split exists (all candidate features are constant or the
+    leaf-size constraint cannot be met).
     """
     n = labels.size
+    leaf = max(min_samples_leaf, 1)
+    lo, hi = leaf - 1, n - leaf
+    left_counts = np.arange(lo + 1, hi + 1)
+    right_counts = n - left_counts
     best_score = np.inf
-    best: tuple[int, float, float] | None = None
+    best: tuple[int, float] | None = None
     for feature in feature_indices:
-        column = features[:, feature]
-        order = np.argsort(column, kind="stable")
-        sorted_values = column[order]
-        sorted_labels = labels[order]
-        positives_prefix = np.cumsum(sorted_labels)
-        total_positives = positives_prefix[-1]
-
-        left_counts = np.arange(1, n)
-        right_counts = n - left_counts
-        left_positives = positives_prefix[:-1]
-        right_positives = total_positives - left_positives
-
-        valid = sorted_values[1:] > sorted_values[:-1]
-        valid &= left_counts >= min_samples_leaf
-        valid &= right_counts >= min_samples_leaf
+        values = columns[feature][rows]
+        order = values.argsort(kind="stable")
+        sorted_values = values[order]
+        valid = sorted_values[lo + 1 : hi + 1] > sorted_values[lo:hi]
         if not valid.any():
             continue
+        positives_prefix = labels[order].cumsum()
+        left_positives = positives_prefix[lo:hi]
+        right_positives = positives_prefix[-1] - left_positives
 
         left_fraction = left_positives / left_counts
         right_fraction = right_positives / right_counts
@@ -85,13 +79,12 @@ def _best_split(
         weighted = (left_counts * gini_left + right_counts * gini_right) / n
         weighted[~valid] = np.inf
 
-        position = int(np.argmin(weighted))
+        position = int(weighted.argmin())
         if weighted[position] < best_score:
             best_score = float(weighted[position])
-            threshold = float(
-                (sorted_values[position] + sorted_values[position + 1]) / 2.0
-            )
-            best = (int(feature), threshold, best_score)
+            cut = lo + position
+            threshold = float((sorted_values[cut] + sorted_values[cut + 1]) / 2.0)
+            best = (int(feature), threshold)
     return best
 
 
@@ -135,26 +128,41 @@ class DecisionTreeClassifier(Classifier):
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "DecisionTreeClassifier":
         features = check_features(features)
         labels = check_labels(labels, features.shape[0])
-        rng = np.random.default_rng(self.seed)
-        num_features = features.shape[1]
-        features_per_split = self._resolve_max_features(num_features)
-        max_depth = self.max_depth if self.max_depth is not None else np.inf
+        self._grow(np.ascontiguousarray(features.T), labels, np.arange(labels.size))
+        return self
 
-        nodes = _TreeNodes()
-        root = nodes.add(float(labels.mean()))
-        # Depth-first growth over (node_id, row_indices, depth) work items.
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(labels.size), 0)]
+    def _grow(self, columns: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> None:
+        """Grow the tree on ``rows`` of validated ``columns`` and 0/1 ``labels``.
+
+        ``rows`` may repeat ids (a bootstrap resample); the tree is the one
+        :meth:`fit` grows on ``columns.T[rows]`` and ``labels[rows]``.
+        """
+        rng = np.random.default_rng(self.seed)
+        num_features = columns.shape[0]
+        features_per_split = self._resolve_max_features(num_features)
+        all_features = range(num_features)
+        max_depth = self.max_depth if self.max_depth is not None else np.inf
+        min_rows = max(self.min_samples_split, 2 * self.min_samples_leaf)
+
+        feature_ids = [-1]
+        thresholds = [np.nan]
+        lefts = [-1]
+        rights = [-1]
+        values = [0.0]
+        # Depth-first growth over (node_id, row ids, depth) work items.
+        stack: list[tuple[int, np.ndarray, int]] = [(0, rows, 0)]
         while stack:
             node_id, rows, depth = stack.pop()
             node_labels = labels[rows]
-            positive_fraction = float(node_labels.mean())
-            nodes.value[node_id] = positive_fraction
-            is_pure = positive_fraction in (0.0, 1.0)
+            size = rows.size
+            # Labels are 0/1, so the sum is exact and this is np.mean's value.
+            positives = float(node_labels.sum())
+            values[node_id] = positives / size
             if (
                 depth >= max_depth
-                or rows.size < self.min_samples_split
-                or rows.size < 2 * self.min_samples_leaf
-                or is_pure
+                or size < min_rows
+                or positives == 0.0
+                or positives == size
             ):
                 continue
             if features_per_split < num_features:
@@ -162,55 +170,70 @@ class DecisionTreeClassifier(Classifier):
                     num_features, size=features_per_split, replace=False
                 )
             else:
-                candidate_features = np.arange(num_features)
+                candidate_features = all_features
             split = _best_split(
-                features[rows], node_labels, candidate_features, self.min_samples_leaf
+                columns, rows, node_labels, candidate_features, self.min_samples_leaf
             )
             if split is None:
                 continue
-            feature, threshold, _ = split
-            goes_left = features[rows, feature] <= threshold
+            feature, threshold = split
+            # Partition by the threshold itself, not the sorted prefix: the
+            # midpoint can round onto the next value.
+            goes_left = columns[feature][rows] <= threshold
             left_rows = rows[goes_left]
             right_rows = rows[~goes_left]
             if left_rows.size == 0 or right_rows.size == 0:
                 continue
-            left_id = nodes.add(float(labels[left_rows].mean()))
-            right_id = nodes.add(float(labels[right_rows].mean()))
-            nodes.feature[node_id] = feature
-            nodes.threshold[node_id] = threshold
-            nodes.left[node_id] = left_id
-            nodes.right[node_id] = right_id
+            left_id = len(values)
+            feature_ids += (-1, -1)
+            thresholds += (np.nan, np.nan)
+            lefts += (-1, -1)
+            rights += (-1, -1)
+            values += (0.0, 0.0)
+            feature_ids[node_id] = feature
+            thresholds[node_id] = threshold
+            lefts[node_id] = left_id
+            rights[node_id] = left_id + 1
             stack.append((left_id, left_rows, depth + 1))
-            stack.append((right_id, right_rows, depth + 1))
+            stack.append((left_id + 1, right_rows, depth + 1))
 
-        self.nodes_ = nodes.as_arrays()
+        self.nodes_ = {
+            "feature": np.asarray(feature_ids, dtype=np.int64),
+            "threshold": np.asarray(thresholds, dtype=np.float64),
+            "left": np.asarray(lefts, dtype=np.int64),
+            "right": np.asarray(rights, dtype=np.int64),
+            "value": np.asarray(values, dtype=np.float64),
+        }
         self.num_features_ = num_features
-        return self
 
     def predict_scores(self, features: np.ndarray) -> np.ndarray:
         self._require_fitted()
-        features = check_features(features)
-        if features.shape[1] != self.num_features_:
-            raise ValueError(
-                f"expected {self.num_features_} features, got {features.shape[1]}"
-            )
+        columns = feature_columns(features, self.num_features_)
+        scores = np.zeros(columns.shape[1], dtype=np.float64)
+        self._route(columns, np.arange(scores.size), scores)
+        return scores
+
+    def _route(self, columns: np.ndarray, rows: np.ndarray, scores: np.ndarray) -> None:
+        """Add the leaf value of each of ``rows`` into ``scores``, node by node."""
         nodes = self.nodes_
-        assignments = np.zeros(features.shape[0], dtype=np.int64)
-        # Route all rows level by level; internal nodes send rows to a child,
-        # leaves keep them.  Terminates because children always have larger
-        # ids than their parents.
-        active = nodes["feature"][assignments] >= 0
-        while active.any():
-            rows = np.flatnonzero(active)
-            node_ids = assignments[rows]
-            feature = nodes["feature"][node_ids]
-            threshold = nodes["threshold"][node_ids]
-            goes_left = features[rows, feature] <= threshold
-            assignments[rows] = np.where(
-                goes_left, nodes["left"][node_ids], nodes["right"][node_ids]
-            )
-            active = nodes["feature"][assignments] >= 0
-        return nodes["value"][assignments]
+        feature = nodes["feature"].tolist()
+        threshold = nodes["threshold"].tolist()
+        left = nodes["left"].tolist()
+        right = nodes["right"].tolist()
+        value = nodes["value"].tolist()
+        stack = [(0, rows)]
+        while stack:
+            node, rows = stack.pop()
+            if not rows.size:
+                continue
+            if feature[node] < 0:
+                scores[rows] += value[node]
+                continue
+            goes_left = columns[feature[node]][rows] <= threshold[node]
+            # compress keeps the order of a boolean index and is faster on
+            # large, mixed masks.
+            stack.append((right[node], rows.compress(~goes_left)))
+            stack.append((left[node], rows.compress(goes_left)))
 
     @property
     def node_count(self) -> int:

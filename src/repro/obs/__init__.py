@@ -121,7 +121,7 @@ def reset() -> None:
 def record_oracle_calls(batch_size: int, started: float) -> None:
     """Unified oracle accounting, attributed to the active stage span.
 
-    Called from ``CountingQuery._charged_batch`` when observability is
+    Called from ``CountingQuery.evaluate`` when observability is
     enabled, with ``started`` the :func:`time.perf_counter` reading taken
     when the batch began: one call-counter increment per predicate
     evaluation, the batch's seconds on ``repro_oracle_seconds_total`` and a

@@ -219,41 +219,6 @@ class CountingQuery:
         # predicate evaluation in evaluate() below.
         return np.asarray(self.backend.evaluate(indices), dtype=np.float64)
 
-    def _charged_batch(self, size: int, compute: Callable[[], np.ndarray]) -> np.ndarray:
-        """Run one oracle batch through the fault plan and charge accounting.
-
-        Every label batch :meth:`evaluate` charges passes through here, so
-        fault-plan retries, the evaluation counter and the obs oracle
-        metrics are applied in one place.  ``compute`` must be a pure
-        function of its closure (labels depend only on the indices), which
-        is what makes a retried batch return the exact bytes of an unfaulted
-        one while the batch is charged once.  The clock is read only when
-        obs is enabled: the batch's seconds go to the oracle-seconds counter.
-        """
-        timed = obs.enabled()
-        started = time.perf_counter() if timed else 0.0
-        plan = active_plan()
-        if plan is None:
-            labels = compute()
-        else:
-            failure: TransientFaultError | None = None
-            for _attempt in range(1 + self.ORACLE_RETRY_LIMIT):
-                try:
-                    plan.oracle_batch()
-                    labels = compute()
-                    break
-                except TransientFaultError as exc:
-                    failure = exc
-                    if obs.enabled():
-                        obs.registry().inc(obs.ORACLE_RETRIES)
-            else:
-                assert failure is not None
-                raise failure
-        self._evaluations += int(size)
-        if timed:
-            obs.record_oracle_calls(int(size), started)
-        return labels
-
     def evaluate(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
         """Evaluate the expensive predicate on the given objects.
 
@@ -266,9 +231,33 @@ class CountingQuery:
         absorbed by up to :attr:`ORACLE_RETRY_LIMIT` retries.  Labels are a
         pure function of the indices, so a retried batch returns the exact
         bytes of an unfaulted one, and accounting charges the batch once.
+        The clock is read only when obs is enabled: the batch's seconds go
+        to the oracle-seconds counter.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        return self._charged_batch(indices.size, lambda: self._compute_labels(indices))
+        timed = obs.enabled()
+        started = time.perf_counter() if timed else 0.0
+        plan = active_plan()
+        if plan is None:
+            labels = self._compute_labels(indices)
+        else:
+            failure: TransientFaultError | None = None
+            for _attempt in range(1 + self.ORACLE_RETRY_LIMIT):
+                try:
+                    plan.oracle_batch()
+                    labels = self._compute_labels(indices)
+                    break
+                except TransientFaultError as exc:
+                    failure = exc
+                    if obs.enabled():
+                        obs.registry().inc(obs.ORACLE_RETRIES)
+            else:
+                assert failure is not None
+                raise failure
+        self._evaluations += int(indices.size)
+        if timed:
+            obs.record_oracle_calls(int(indices.size), started)
+        return labels
 
     def evaluate_batch(
         self,

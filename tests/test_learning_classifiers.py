@@ -131,6 +131,18 @@ class TestDecisionTree:
         with pytest.raises(ValueError):
             model.predict_scores(features[:, :1])
 
+    def test_fit_rejects_non_binary_labels(self, separable_data):
+        features, labels = separable_data
+        with pytest.raises(ValueError, match="binary"):
+            DecisionTreeClassifier().fit(features, labels * 2.0)
+
+    def test_fit_rejects_non_finite_features(self, separable_data):
+        features, labels = separable_data
+        features = features.copy()
+        features[3, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DecisionTreeClassifier().fit(features, labels)
+
     def test_max_features_fraction(self, separable_data):
         features, labels = separable_data
         model = DecisionTreeClassifier(max_depth=4, max_features=0.5, seed=3)
@@ -147,6 +159,25 @@ class TestRandomForest:
             [tree.predict_scores(features) for tree in model.trees_], axis=0
         )
         assert np.allclose(manual, model.predict_scores(features))
+
+    def test_feature_count_validated_at_prediction(self, separable_data):
+        features, labels = separable_data
+        model = RandomForestClassifier(n_estimators=3, max_depth=3, seed=0)
+        model.fit(features, labels)
+        with pytest.raises(ValueError, match="expected 2 features, got 1"):
+            model.predict_scores(features[:, :1])
+
+    def test_fit_rejects_non_binary_labels(self, separable_data):
+        features, labels = separable_data
+        with pytest.raises(ValueError, match="binary"):
+            RandomForestClassifier(n_estimators=3).fit(features, labels * 2.0)
+
+    def test_fit_rejects_non_finite_features(self, separable_data):
+        features, labels = separable_data
+        features = features.copy()
+        features[3, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            RandomForestClassifier(n_estimators=3).fit(features, labels)
 
     def test_more_trees_reduce_score_variance_across_seeds(self, separable_data):
         features, labels = separable_data
