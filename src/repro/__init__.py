@@ -16,7 +16,7 @@ It provides:
   (Classify-and-Count and Adjusted Count).
 * ``repro.query`` -- the workload substrate: tables, counting queries with
   expensive predicates, a grid spatial index and the pluggable execution
-  backends of ``repro.query.backends`` (numpy, chunked, sqlite3).
+  backends of ``repro.query.backends`` (numpy, sqlite3).
 * ``repro.datasets`` -- synthetic stand-ins for the paper's Sports (MLB
   pitching) and Neighbors (KDD Cup 1999) datasets with selectivity
   calibration.

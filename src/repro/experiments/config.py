@@ -27,9 +27,9 @@ class SpecString:
     The grammar is deliberately tiny — a lower-case name from a closed
     vocabulary, optionally followed by ``:`` and either a single positional
     argument or a comma-separated list of ``key=value`` options — because
-    every textual knob in the library (query backends like
-    ``"chunked:4096"`` or ``"sqlite:database=/path,pushdown=off"``,
-    dispatch modes like ``"warm"``, method specs like ``"lss:dirsol"``)
+    every textual knob in the library (query backends like ``"numpy"`` or
+    ``"sqlite:database=/path"``, dispatch modes like ``"warm"``, method
+    specs like ``"lss:dirsol"``)
     fits it.  :func:`parse` is the single validation point; all call sites
     therefore share one error message shape:
 
@@ -77,8 +77,8 @@ class SpecString:
             argument_names: the subset of ``names`` that may carry a plain
                 ``:argument`` suffix.
             option_names: the subset of ``names`` that may carry
-                ``:key=value,...`` options.  Which keys (and values) are
-                legal for a given name is the caller's vocabulary — see
+                ``:key=value,...`` options.  Which keys are legal for a
+                given name is the caller's vocabulary — see
                 :meth:`validate_options`.
         """
         if not isinstance(value, str):
@@ -113,26 +113,16 @@ class SpecString:
                 return value
         return default
 
-    def validate_options(
-        self, vocabulary: Mapping[str, Sequence[str] | None]
-    ) -> "SpecString":
-        """Reject unknown option keys and out-of-vocabulary values.
+    def validate_options(self, keys: Sequence[str]) -> "SpecString":
+        """Reject option keys outside ``keys``; values are free-form.
 
-        ``vocabulary`` maps each legal key to the tuple of values it accepts
-        (``None`` for free-form values like filesystem paths).  Returns
-        ``self`` so parsing call sites can chain.
+        Returns ``self`` so parsing call sites can chain.
         """
-        for key, value in self.options:
-            if key not in vocabulary:
+        for key, _ in self.options:
+            if key not in keys:
                 raise ValueError(
                     f"unknown {self.kind} option {key!r} for {self.name!r}; "
-                    f"choose from {tuple(sorted(vocabulary))}"
-                )
-            allowed = vocabulary[key]
-            if allowed is not None and value not in tuple(allowed):
-                raise ValueError(
-                    f"invalid {self.kind} option {key}={value!r}; "
-                    f"choose from {tuple(allowed)}"
+                    f"choose from {tuple(sorted(keys))}"
                 )
         return self
 

@@ -30,21 +30,12 @@ import numpy as np
 from repro.experiments.config import parse_method_spec
 from repro.parallel.fingerprint import estimates_fingerprint, task_fingerprint
 from repro.parallel.methods import METHODS
+from repro.query.backends import NumpyBackend
 from repro.workloads.queries import WorkloadSpec
 from repro.workloads.runner import TrialRunner
 
-#: Backends audited by default: the in-memory reference, the SQL engine at
-#: both pushdown levels (``sqlite`` is the ``counts`` default; ``off`` stores
-#: only), and the out-of-core streaming backend at a degenerate, an
-#: adversarially odd and a production block size.
-DEFAULT_BACKENDS = (
-    "numpy",
-    "sqlite",
-    "sqlite:pushdown=off",
-    "chunked:1",
-    "chunked:7",
-    "chunked:4096",
-)
+#: Backends audited by default: the in-memory reference and the SQL engine.
+DEFAULT_BACKENDS = ("numpy", "sqlite")
 
 #: Number of objects probed through the charged oracle path per backend.
 _PROBE_SIZE = 64
@@ -124,7 +115,10 @@ def run_backend_parity(
     ``backend`` field, and three layers are fingerprinted against the first
     backend (the baseline):
 
-    1. exact ground-truth labels and the true count;
+    1. exact ground-truth labels and the true count — and, on the numpy
+       backend, that its bulk ground-truth sweep (which expands ‖a-b‖² as
+       ‖a‖²-2a·b+‖b‖²) labels every object byte-identically to its batch
+       kernel (which subtracts coordinates directly);
     2. a seeded probe through the charged oracle path (labels and the
        evaluations charged for them);
     3. per-method trial estimates (byte-exact fingerprints), LSS cut points
@@ -161,6 +155,13 @@ def run_backend_parity(
                 f"ground truth diverges on backend {backend!r} "
                 f"(true count {truth[1]} vs {report.ground_truth[report.baseline][1]})"
             )
+        if isinstance(query.backend, NumpyBackend):
+            bulk = query.backend.evaluate_all()
+            batch = query.backend.evaluate(query.backend.object_indices())
+            if bulk.tobytes() != batch.tobytes():
+                report.mismatches.append(
+                    f"bulk ground truth diverges from the batch kernel on backend {backend!r}"
+                )
 
         probe_rng = np.random.default_rng(master_seed)
         probe = probe_rng.integers(0, query.num_objects, size=_PROBE_SIZE, dtype=np.int64)

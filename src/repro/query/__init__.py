@@ -13,16 +13,13 @@ new ones — in that form:
 * :mod:`repro.query.spatial` — grid index and dominance-counting structures
   used both for exact ground truth and inside the predicates.
 * :mod:`repro.query.backends` — the pluggable execution layer: the same
-  counting query runs over in-memory numpy kernels, a real sqlite3 engine
-  (predicates pushed down as SQL), or chunk-streamed out-of-core blocks,
-  with byte-identical results.
-* :mod:`repro.query.sql` — sqlite3 materialisation plus the demonstration
-  queries for the Q1/Q2/Q3 rewriting of Section 2.
+  counting query runs over in-memory numpy kernels or a real sqlite3
+  engine (predicates pushed down as SQL), with byte-identical results.
+* :mod:`repro.query.sql` — sqlite3 materialisation of a table.
 """
 
 from repro.query.backends import (
     BACKEND_NAMES,
-    ChunkedBackend,
     NumpyBackend,
     QueryBackend,
     SqliteBackend,
@@ -42,7 +39,6 @@ from repro.query.table import Table
 __all__ = [
     "BACKEND_NAMES",
     "CallablePredicate",
-    "ChunkedBackend",
     "CountingQuery",
     "GridIndex",
     "NeighborCountPredicate",

@@ -3,21 +3,16 @@
 The paper's Q1→Q2+Q3 rewriting only requires two physical capabilities from
 the data substrate: enumerate the object set (cheap) and evaluate the
 expensive per-object predicate on demand.  :class:`QueryBackend` promotes
-that seam into a first-class abstraction so the same estimators run
-unchanged over
+that seam into a first-class abstraction with one backend per engine:
 
 * :class:`NumpyBackend` — the in-memory columnar :class:`~repro.query.table.Table`
-  driven through the PR-4 vectorized predicate kernels (the historical
+  driven through the vectorized predicate kernels (the historical
   behaviour of :class:`~repro.query.counting.CountingQuery`);
 * :class:`SqliteBackend` — a real SQL engine: the table is materialised into
   sqlite3 and the built-in :class:`~repro.query.predicates.NeighborCountPredicate`
   / :class:`~repro.query.predicates.SkybandPredicate` are pushed down as
   correlated COUNT subqueries that stop at the predicate's threshold (Q3 as
-  a database would run it);
-* :class:`ChunkedBackend` — out-of-core-oriented streaming: feature blocks
-  and predicate evaluations are driven through fixed-size row blocks, so the
-  per-call working set stays bounded by the chunk size rather than the index
-  set.
+  a database would run it).
 
 **The parity contract.**  Backends are *representations*, never semantics:
 for any index set, every backend must return labels byte-identical to
@@ -33,22 +28,20 @@ each step exactly like the numpy kernels, and the skyband test is pure
 comparisons.
 
 **Capabilities.**  Every backend answers :meth:`QueryBackend.capabilities`
-with the tuple of capability tokens it implements.  :class:`SqliteBackend`
-advertises up to two, depending on its ``pushdown`` level (``off`` /
-``counts``):
+with the tuple of capability tokens it implements:
 
 * ``evaluate`` — labels on demand (every backend);
 * ``predicate-pushdown`` — per-object labels computed by correlated COUNT
-  subqueries inside the engine (``counts``, the default).
+  subqueries inside the engine (:class:`SqliteBackend` over a built-in
+  predicate).
 
 Randomness never moves: seeds are drawn client-side and only *label
 evaluation* is pushed down, which is what keeps every estimate byte-identical
-across pushdown levels.
+across backends.
 
-Backends are named by a spec string — ``"numpy"``, ``"sqlite"``,
-``"sqlite:database=/path,pushdown=off"``, ``"chunked"`` or
-``"chunked:<rows>"`` — so the choice travels through pickle-safe descriptions
-(:class:`~repro.workloads.queries.WorkloadSpec`,
+Backends are named by a spec string — ``"numpy"``, ``"sqlite"`` or
+``"sqlite:database=/path"`` — so the choice travels through pickle-safe
+descriptions (:class:`~repro.workloads.queries.WorkloadSpec`,
 :class:`~repro.parallel.methods.MethodSpec`) and is part of the deterministic
 task fingerprint.
 """
@@ -59,7 +52,7 @@ import sqlite3
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,28 +63,17 @@ from repro.query.table import Table
 from repro.resilience.faults import active_plan
 from repro.resilience.retry import backoff_delays
 
-#: Spec names accepted by :func:`make_backend` (``"chunked"`` also accepts a
-#: ``:<rows>`` suffix selecting the block size; ``"sqlite"`` accepts
+#: Spec names accepted by :func:`make_backend` (``"sqlite"`` accepts
 #: ``key=value`` options, see :data:`SQLITE_OPTION_DEFAULTS`).
-BACKEND_NAMES = ("numpy", "sqlite", "chunked")
+BACKEND_NAMES = ("numpy", "sqlite")
 
 #: Capability tokens a backend may advertise via ``capabilities()``.
 CAP_EVALUATE = "evaluate"
 CAP_PREDICATE_PUSHDOWN = "predicate-pushdown"
 
-#: Pushdown levels of :class:`SqliteBackend`: storage only, or labels in SQL.
-PUSHDOWN_LEVELS = ("off", "counts")
-
-#: ``counts`` (PR 5's correlated COUNT probes) stays the default, so the
-#: bare ``"sqlite"`` spec keeps its historical meaning.
-DEFAULT_PUSHDOWN = "counts"
-
 #: Option vocabulary of the ``sqlite`` spec and the default each key
-#: canonicalises away (``sqlite:pushdown=counts`` re-renders as ``sqlite``).
-SQLITE_OPTION_DEFAULTS = {"database": ":memory:", "pushdown": DEFAULT_PUSHDOWN}
-
-#: Default row-block size of :class:`ChunkedBackend`.
-DEFAULT_CHUNK_ROWS = 4096
+#: canonicalises away (``sqlite:database=:memory:`` re-renders as ``sqlite``).
+SQLITE_OPTION_DEFAULTS = {"database": ":memory:"}
 
 #: Most rows a single ``IN (...)`` probe may name; kept under sqlite's
 #: historical 999-parameter limit with room for the predicate parameters.
@@ -203,93 +185,6 @@ class NumpyBackend(QueryBackend):
         return np.asarray(self.predicate.evaluate_all(self.table), dtype=np.float64)
 
 
-class ChunkedBackend(QueryBackend):
-    """Stream evaluation through fixed-size row blocks (out-of-core shape).
-
-    Every operation — per-object labels, ground truth, feature gathering —
-    is driven in blocks of at most ``chunk_rows`` rows through the batch
-    kernels, so the per-call temporaries are bounded by the block size rather
-    than the request: the access pattern a table too large for memory needs.
-    The batch kernels label each index independently of its block-mates,
-    which is what makes the streamed labels byte-identical to one whole-set
-    call.
-
-    Args:
-        table: the object table.
-        predicate: the expensive predicate.
-        chunk_rows: rows per streamed block (defaults to
-            :data:`DEFAULT_CHUNK_ROWS`).
-    """
-
-    def __init__(
-        self, table: Table, predicate: Predicate, chunk_rows: int = DEFAULT_CHUNK_ROWS
-    ) -> None:
-        super().__init__(table, predicate)
-        if chunk_rows <= 0:
-            raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
-        self.chunk_rows = int(chunk_rows)
-        self.spec = f"chunked:{self.chunk_rows}"
-
-    def _blocks(self, indices: np.ndarray) -> Iterator[np.ndarray]:
-        for start in range(0, indices.size, self.chunk_rows):
-            yield indices[start : start + self.chunk_rows]
-
-    def evaluate(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size == 0:
-            return np.empty(0, dtype=np.float64)
-        # Charge the scan block by block as the stream advances, so the
-        # counter reflects exactly the rows each streamed block touched —
-        # no more, no less — and stays in lockstep with NumpyBackend's
-        # whole-request charge (the block sizes sum to ``indices.size``).
-        parts = []
-        for block in self._blocks(indices):
-            self._record_scan(block.size)
-            parts.append(
-                np.asarray(self.predicate.evaluate_batch(self.table, block), dtype=np.float64)
-            )
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def evaluate_all(self) -> np.ndarray:
-        # Ground truth through the streamed batch kernels.  NumpyBackend's
-        # bulk sweep expands ‖a-b‖² as ‖a‖²-2a·b+‖b‖² while the batch kernel
-        # subtracts coordinates directly — the same bet the counting query
-        # has always made between its cached (bulk) and uncached (batch)
-        # label paths.  The parity suite and CI gate pin that the two
-        # roundings agree byte-for-byte on the seeded workloads.
-        return self.evaluate(self.object_indices())
-
-    def features(
-        self,
-        columns: Sequence[str],
-        indices: Sequence[int] | np.ndarray | None = None,
-    ) -> np.ndarray:
-        names = list(columns)
-        if not names:
-            raise ValueError("must request at least one column")
-        if indices is None:
-            indices = self.object_indices()
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size == 0:
-            return np.empty((0, len(names)), dtype=np.float64)
-        # Gather column slices block by block — deliberately NOT through
-        # Table.columns, which materialises the full (N, d) matrix and would
-        # defeat the bounded working set.  Casting a slice then stacking is
-        # elementwise, so the assembled matrix is byte-identical to slicing
-        # the full-table matrix.  Each block is charged to the scan counter
-        # exactly once, as it streams, matching the per-request charge the
-        # base class makes for in-memory gathers.
-        parts = []
-        for block in self._blocks(indices):
-            self._record_scan(block.size)
-            parts.append(
-                np.column_stack(
-                    [self.table.column(name)[block].astype(np.float64) for name in names]
-                )
-            )
-        return parts[0] if len(parts) == 1 else np.vstack(parts)
-
-
 @dataclass(frozen=True)
 class _PushdownPlan:
     """SQL fragments evaluating one built-in predicate inside sqlite.
@@ -365,30 +260,25 @@ def _skyband_plan(predicate: SkybandPredicate, name: str) -> _PushdownPlan:
 
 
 class SqliteBackend(QueryBackend):
-    """Execute Q3 inside sqlite3, at a configurable pushdown level.
+    """Execute Q3 inside sqlite3.
 
-    The object table is materialised into an in-memory sqlite database.
-    What else moves into the engine depends on ``pushdown``:
-
-    * ``"off"`` — the database only stores the table; labels come from the
-      client-side vectorized kernels (the reference semantics, handy for
-      differential debugging of ``counts``).
-    * ``"counts"`` (default) — the two built-in predicates are pushed down
-      as correlated COUNT subqueries — batched per-object probes and a
-      single bulk pass for ground truth.  Each subquery stops counting once
-      its threshold is decided (``max_neighbors + 1`` neighbours, ``k``
-      dominators) and is served from one covering ``(x, y)`` index: a range
-      probe on x instead of a full scan per object, with y and ``rowidx``
-      read from the index entries.
+    The object table is materialised into a sqlite database (in memory
+    unless ``database`` names a file) and the two built-in predicates are
+    pushed down as correlated COUNT subqueries — batched per-object probes
+    and a single bulk pass for ground truth.  Each subquery stops counting
+    once its threshold is decided (``max_neighbors + 1`` neighbours, ``k``
+    dominators) and is served from one covering ``(x, y)`` index: a range
+    probe on x instead of a full scan per object, with y and ``rowidx`` read
+    from the index entries.
 
     Predicates without a SQL translation (user-defined
     :class:`~repro.query.predicates.CallablePredicate`) fall back to the
-    in-memory kernels at every level; the backend still owns enumeration and
-    feature gathering, and label parity is trivially preserved.  Labels,
-    cut points, oracle-call counts and seeded estimates are byte-identical
-    across both levels — the parity CLI/CI gate runs the whole grid.
+    in-memory kernels; the backend still owns enumeration and feature
+    gathering, and label parity is trivially preserved.  Labels, cut points,
+    oracle-call counts and seeded estimates are byte-identical to
+    :class:`NumpyBackend` — the parity CLI/CI gate runs the whole workflow.
 
-    ``make_backend("sqlite:database=...,pushdown=...")`` builds the same
+    ``make_backend("sqlite:database=...")`` builds the same
     backend from a spec string — the form that travels through workload
     fingerprints; a backend built from keywords reports that same
     canonical ``spec``.
@@ -407,22 +297,10 @@ class SqliteBackend(QueryBackend):
         predicate: Predicate,
         *,
         database: str = ":memory:",
-        pushdown: str = DEFAULT_PUSHDOWN,
     ) -> None:
         super().__init__(table, predicate)
-        if pushdown not in PUSHDOWN_LEVELS:
-            raise ValueError(
-                f"unknown pushdown level {pushdown!r}; choose from {PUSHDOWN_LEVELS}"
-            )
-        self.pushdown = pushdown
-        options = [
-            (key, value)
-            for key, value in (("database", database), ("pushdown", pushdown))
-            if SQLITE_OPTION_DEFAULTS[key] != value
-        ]
-        if options:
-            rendered = ",".join(f"{key}={value}" for key, value in options)
-            self.spec = f"sqlite:{rendered}"
+        if database != SQLITE_OPTION_DEFAULTS["database"]:
+            self.spec = f"sqlite:database={database}"
         self.table_name = table.name or "objects"
         # ``check_same_thread=False``: the estimate server evaluates requests
         # on executor threads while a per-workload lock serialises access to
@@ -488,7 +366,7 @@ class SqliteBackend(QueryBackend):
 
     def capabilities(self) -> tuple[str, ...]:
         tokens = [CAP_EVALUATE]
-        if self._plan is not None and self.pushdown != "off":
+        if self._plan is not None:
             tokens.append(CAP_PREDICATE_PUSHDOWN)
         return tuple(tokens)
 
@@ -502,9 +380,9 @@ class SqliteBackend(QueryBackend):
 
     def evaluate(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
-        if self._plan is None or self.pushdown == "off":
-            # No SQL translation (or pushdown disabled): the reference
-            # kernels produce the labels; the database is storage only.
+        if self._plan is None:
+            # No SQL translation: the in-memory kernels produce the labels;
+            # the database is storage only.
             self._record_scan(indices.size)
             return np.asarray(
                 self.predicate.evaluate_batch(self.table, indices), dtype=np.float64
@@ -541,7 +419,7 @@ class SqliteBackend(QueryBackend):
         return np.array([labels_by_index[int(i)] for i in indices], dtype=np.float64)
 
     def evaluate_all(self) -> np.ndarray:
-        if self._plan is None or self.pushdown == "off":
+        if self._plan is None:
             self._record_scan(self.num_objects)
             return np.asarray(self.predicate.evaluate_all(self.table), dtype=np.float64)
         self._require_connection()
@@ -562,38 +440,26 @@ def _parse_backend_spec(spec: str):
     # module, so a top-level import of the grammar would be circular.
     from repro.experiments.config import SpecString
 
-    parsed = SpecString.parse(
-        "backend",
-        spec,
-        BACKEND_NAMES,
-        argument_names=("chunked",),
-        option_names=("sqlite",),
+    parsed = SpecString.parse("backend", spec, BACKEND_NAMES, option_names=("sqlite",))
+    return parsed.validate_options(tuple(SQLITE_OPTION_DEFAULTS)).without_default_options(
+        SQLITE_OPTION_DEFAULTS
     )
-    if parsed.options:
-        parsed = parsed.validate_options(
-            {"database": None, "pushdown": PUSHDOWN_LEVELS}
-        ).without_default_options(SQLITE_OPTION_DEFAULTS)
-    return parsed
 
 
 def canonical_backend_spec(spec: "str | QueryBackend | None") -> str:
     """Normalise a backend spec to its canonical string form.
 
     ``None`` means the default (``"numpy"``); a backend instance reports its
-    own canonical spec; a string is validated and normalised —
-    ``"chunked"`` → ``"chunked:<default>"``, sqlite options are key-sorted
-    and options spelling a default are dropped
-    (``"sqlite:pushdown=counts"`` → ``"sqlite"``) — so equal configurations
-    share one spelling in task fingerprints and cache keys.
+    own canonical spec; a string is validated and normalised — an option
+    spelling its default is dropped (``"sqlite:database=:memory:"`` →
+    ``"sqlite"``) — so equal configurations share one spelling in task
+    fingerprints and cache keys.
     """
     if spec is None:
         return "numpy"
     if isinstance(spec, QueryBackend):
         return spec.spec
-    parsed = _parse_backend_spec(spec)
-    if parsed.name != "chunked":
-        return parsed.canonical
-    return f"chunked:{parsed.int_argument(DEFAULT_CHUNK_ROWS)}"
+    return _parse_backend_spec(spec).canonical
 
 
 def make_backend(
@@ -614,16 +480,7 @@ def make_backend(
         if spec.predicate is not predicate:
             raise ValueError("backend instance is bound to a different predicate")
         return spec
-    canonical = canonical_backend_spec(spec)
-    if canonical == "numpy":
+    parsed = _parse_backend_spec("numpy" if spec is None else spec)
+    if parsed.name == "numpy":
         return NumpyBackend(table, predicate)
-    parsed = _parse_backend_spec(canonical)
-    if parsed.name == "sqlite":
-        return SqliteBackend(
-            table,
-            predicate,
-            database=parsed.option("database", ":memory:"),
-            pushdown=parsed.option("pushdown", DEFAULT_PUSHDOWN),
-        )
-    chunk_rows = int(canonical.split(":", 1)[1])
-    return ChunkedBackend(table, predicate, chunk_rows=chunk_rows)
+    return SqliteBackend(table, predicate, database=parsed.option("database", ":memory:"))

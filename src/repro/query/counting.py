@@ -7,8 +7,8 @@ expensive per-object condition Q3), tracks how many predicate evaluations
 have been spent, and exposes exact ground truth for experiment validation.
 
 Physical execution is delegated to a pluggable
-:class:`~repro.query.backends.QueryBackend` (in-memory numpy kernels, SQL
-pushdown into sqlite3, or chunk-streamed out-of-core evaluation).  Backends
+:class:`~repro.query.backends.QueryBackend` (in-memory numpy kernels, or SQL
+pushdown into sqlite3).  Backends
 are interchangeable representations: labels, accounting and therefore every
 seeded estimate are byte-identical whichever backend executes the query.
 """
@@ -46,7 +46,7 @@ class CountingQuery:
             cost model counts predicate evaluations, not wall-clock — but
             experiments over many trials avoid re-running the expensive scan.
         backend: where the query physically executes — a spec string
-            (``"numpy"``, ``"sqlite"``, ``"chunked"``/``"chunked:<rows>"``),
+            (``"numpy"``, ``"sqlite"``, ``"sqlite:database=<path>"``),
             a prebuilt :class:`~repro.query.backends.QueryBackend`, or
             ``None`` for the in-memory default.  Backends never change
             results: labels and accounting are byte-identical across them.
@@ -213,8 +213,8 @@ class CountingQuery:
         if self.cache_labels:
             labels: np.ndarray = self._all_labels()[indices]
             return labels
-        # The backend executes the predicate (vectorized kernels, SQL
-        # pushdown or chunk streaming); label values are byte-identical
+        # The backend executes the predicate (vectorized kernels or SQL
+        # pushdown); label values are byte-identical
         # whichever backend runs, and each index is still charged as one
         # predicate evaluation in evaluate() below.
         return np.asarray(self.backend.evaluate(indices), dtype=np.float64)

@@ -521,6 +521,13 @@ class Session:
                 learn_seed=int(learn_seed if learn_seed is not None else seed),
                 classifier_name=classifier,
             )
+            method_spec = ScoredMethodSpec(
+                method=method,
+                anchor=anchor.spec,
+                scores=scores_spec,
+                num_strata=num_strata,
+                optimizer=optimizer,
+            )
             was_cached = default_scores_cache.contains(anchor.spec, scores_spec)
             default_scores_cache.resolve(anchor.spec, scores_spec, workload=anchor)
             if was_cached:
@@ -529,13 +536,6 @@ class Session:
             else:
                 self.stats.learning_runs += 1
                 self.stats.oracle_calls += scores_spec.learn_budget
-            method_spec = ScoredMethodSpec(
-                method=method,
-                anchor=anchor.spec,
-                scores=scores_spec,
-                num_strata=num_strata,
-                optimizer=optimizer,
-            )
             result = SweepResult(
                 method=method,
                 budget=resolved_budget,
@@ -593,6 +593,9 @@ class Session:
             cached = self._designs.get(key)
             if cached is not None:
                 return cached
+            # Built before the scores: its checks reject a bad optimizer or
+            # strata count before any learning is paid for.
+            estimator = LearnedStratifiedSampling(num_strata=num_strata, optimizer=optimizer)
             scores_spec = LearnedScoresSpec(
                 learn_budget=learn_budget or max(2, resolved_budget // 3),
                 learn_seed=int(learn_seed if learn_seed is not None else seed),
@@ -610,7 +613,6 @@ class Session:
             # The estimator runs directly (not through execute_trials) because
             # trial records ship only the deterministic estimate fields — the
             # design object a caller wants here lives in the details.
-            estimator = LearnedStratifiedSampling(num_strata=num_strata, optimizer=optimizer)
             (task,) = trial_tasks(sweep_point_seed(seed, 0, 1), 1, resolved_budget)
             estimate = estimator.estimate_from_scores(
                 workload.query, learned, task.budget, seed=task.seed.resolve()

@@ -306,6 +306,10 @@ class ScoredMethodSpec:
             raise ValueError(
                 f"unknown scored method {self.method!r}; choose from {SCORED_METHODS}"
             )
+        if self.method == "lss":
+            # The estimator's own checks reject a bad optimizer or strata
+            # count here, before any caller pays for learning the scores.
+            LearnedStratifiedSampling(num_strata=self.num_strata, optimizer=self.optimizer)
 
     def build_trial_function(self) -> Callable:
         """Materialise the spec as a ``run_trial(workload, rng, budget)``."""

@@ -61,9 +61,10 @@ class WorkloadSpec:
     backend: str = "numpy"
 
     def __post_init__(self) -> None:
-        # Canonicalise eagerly (``"chunked"`` → ``"chunked:4096"``) so specs
-        # describing the same task compare and hash equally — shared warm
-        # pools, the score cache and the task fingerprint all key on the spec.
+        # Canonicalise eagerly (``"sqlite:database=:memory:"`` → ``"sqlite"``)
+        # so specs describing the same task compare and hash equally — shared
+        # warm pools, the score cache and the task fingerprint all key on the
+        # spec.
         object.__setattr__(self, "backend", canonical_backend_spec(self.backend))
 
     def build(self, table=None, label_cache=None) -> "Workload":

@@ -24,7 +24,6 @@ from repro.parallel.methods import METHODS, MethodSpec
 from repro.query.backends import (
     CAP_EVALUATE,
     CAP_PREDICATE_PUSHDOWN,
-    ChunkedBackend,
     NumpyBackend,
     SqliteBackend,
     canonical_backend_spec,
@@ -40,17 +39,11 @@ from repro.query.table import Table
 from repro.workloads.queries import WorkloadSpec
 from repro.workloads.runner import TrialRunner
 
-ALL_BACKEND_SPECS = (
-    "numpy",
-    "sqlite",
-    "sqlite:pushdown=off",
-    "chunked:1",
-    "chunked:7",
-    "chunked:4096",
-)
+ALL_BACKEND_SPECS = ("numpy", "sqlite")
 
-#: The SqliteBackend pushdown grid the estimator-level tests sweep.
-PUSHDOWN_SPECS = ("sqlite:pushdown=off", "sqlite")
+#: The backends the estimator-level tests run LWS and LSS on: the in-memory
+#: reference and the SQL pushdown.
+PUSHDOWN_SPECS = ("numpy", "sqlite")
 
 SETTINGS = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -65,20 +58,35 @@ class TestBackendSpecs:
         assert canonical_backend_spec(None) == "numpy"
         assert canonical_backend_spec("numpy") == "numpy"
         assert canonical_backend_spec("sqlite") == "sqlite"
-        assert canonical_backend_spec("chunked") == "chunked:4096"
-        assert canonical_backend_spec("chunked:7") == "chunked:7"
+        assert canonical_backend_spec("sqlite:database=/tmp/x.db") == "sqlite:database=/tmp/x.db"
 
-    @pytest.mark.parametrize("bad", ["bogus", "numpy:3", "chunked:0", "chunked:x", "sqlite:1"])
-    def test_invalid_specs_rejected(self, bad):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "bogus",
+            "numpy:3",
+            "chunked",
+            "chunked:0",
+            "chunked:7",
+            "chunked:x",
+            "sqlite:1",
+            "sqlite:pushdown=off",
+            "sqlite:pushdown=counts",
+        ],
+    )
+    def test_invalid_specs_rejected(self, bad, small_points_table):
         with pytest.raises(ValueError):
             canonical_backend_spec(bad)
+        with pytest.raises(ValueError):
+            make_backend(bad, small_points_table, SkybandPredicate("x", "y", k=3))
 
     def test_backend_instances_pass_through(self, small_points_table):
         predicate = SkybandPredicate("x", "y", k=3)
-        backend = ChunkedBackend(small_points_table, predicate, chunk_rows=5)
+        backend = SqliteBackend(small_points_table, predicate)
         query = CountingQuery(small_points_table, predicate, backend=backend)
         assert query.backend is backend
-        assert query.backend_spec == "chunked:5"
+        assert query.backend_spec == "sqlite"
+        backend.close()
 
     def test_backend_bound_to_other_table_rejected(self, small_points_table):
         predicate = SkybandPredicate("x", "y", k=3)
@@ -139,9 +147,9 @@ class TestBackendLabelParity:
         assert len(outputs) == 1
 
     def test_with_backend_caches_siblings(self, neighbor_query):
-        sibling = neighbor_query.with_backend("chunked:7")
+        sibling = neighbor_query.with_backend("sqlite")
         assert sibling is not neighbor_query
-        assert sibling is neighbor_query.with_backend("chunked:7")
+        assert sibling is neighbor_query.with_backend("sqlite")
         assert neighbor_query.with_backend(neighbor_query.backend_spec) is neighbor_query
         assert sibling.true_count() == neighbor_query.true_count()
 
@@ -226,12 +234,25 @@ def index_sets(draw, num_rows):
     )
 
 
+def _assert_numpy_bulk_matches_batch(table, predicate):
+    """Numpy's bulk ground truth labels every object as its batch kernel does.
+
+    The bulk neighbour sweep expands ‖a-b‖² as ‖a‖²-2a·b+‖b‖² while the batch
+    kernel subtracts coordinates directly; the two roundings must agree
+    byte-for-byte, or cached and uncached label paths would diverge.
+    """
+    backend = NumpyBackend(table, predicate)
+    batch = backend.evaluate(np.arange(table.num_rows))
+    assert backend.evaluate_all().tobytes() == batch.tobytes()
+
+
 @SETTINGS
 @given(data=st.data(), table=st.one_of(tie_heavy_tables(), continuous_tables()))
 def test_property_skyband_parity(data, table):
     k = data.draw(st.integers(1, 4))
     indices = data.draw(index_sets(table.num_rows))
     predicate = SkybandPredicate("x", "y", k=k)
+    _assert_numpy_bulk_matches_batch(table, predicate)
     observed = set()
     for spec in ALL_BACKEND_SPECS:
         query = CountingQuery(table, predicate, backend=spec, cache_labels=False)
@@ -257,6 +278,7 @@ def test_property_neighbor_parity(data, table):
     predicate = NeighborCountPredicate(
         "x", "y", max_neighbors=max_neighbors, distance=distance
     )
+    _assert_numpy_bulk_matches_batch(table, predicate)
     observed = set()
     for spec in ALL_BACKEND_SPECS:
         query = CountingQuery(table, predicate, backend=spec, cache_labels=False)
@@ -293,7 +315,7 @@ class TestSeededWorkflowParity:
         # Sabotage one backend's labels and require the gate to trip.
         from repro.query import backends as backends_module
 
-        original = backends_module.ChunkedBackend.evaluate
+        original = backends_module.SqliteBackend.evaluate
 
         def corrupted(self, indices):
             labels = original(self, indices)
@@ -302,37 +324,61 @@ class TestSeededWorkflowParity:
                 labels[0] = 1.0 - labels[0]
             return labels
 
-        monkeypatch.setattr(backends_module.ChunkedBackend, "evaluate", corrupted)
+        monkeypatch.setattr(backends_module.SqliteBackend, "evaluate", corrupted)
         report = run_backend_parity(
             num_rows=160,
             num_trials=1,
             fraction=0.1,
-            backends=("numpy", "chunked:7"),
+            backends=("numpy", "sqlite"),
             methods=("srs",),
         )
         assert not report.ok
-        assert any("chunked:7" in mismatch for mismatch in report.mismatches)
+        assert any("'sqlite'" in mismatch for mismatch in report.mismatches)
+
+    def test_parity_detects_bulk_batch_divergence(self, monkeypatch):
+        # The audit pins numpy's bulk ground truth to its own batch kernel.
+        from repro.query import backends as backends_module
+
+        original = backends_module.NumpyBackend.evaluate_all
+
+        def corrupted(self):
+            labels = original(self).copy()
+            labels[0] = 1.0 - labels[0]
+            return labels
+
+        monkeypatch.setattr(backends_module.NumpyBackend, "evaluate_all", corrupted)
+        report = run_backend_parity(
+            num_rows=160, num_trials=1, fraction=0.1, backends=("numpy",), methods=("srs",)
+        )
+        assert any("batch kernel" in mismatch for mismatch in report.mismatches)
+
+    @pytest.mark.parametrize("dataset", ["neighbors", "sports"])
+    def test_seeded_workloads_bulk_matches_batch(self, dataset):
+        query = WorkloadSpec(dataset=dataset, num_rows=480, cache_labels=False).build().query
+        _assert_numpy_bulk_matches_batch(query.table, query.predicate)
 
 
 class TestWorkloadAndMethodSpecs:
     def test_workload_spec_carries_backend(self):
-        spec = WorkloadSpec(dataset="neighbors", num_rows=120, backend="chunked:7")
+        spec = WorkloadSpec(dataset="neighbors", num_rows=120, backend="sqlite")
         workload = spec.build()
-        assert workload.query.backend_spec == "chunked:7"
-        assert workload.spec.backend == "chunked:7"
+        assert workload.query.backend_spec == "sqlite"
+        assert workload.spec.backend == "sqlite"
 
     def test_workload_spec_canonicalises_backend(self):
         # Equal tasks must be equal (and hash-equal) specs: shared pools,
         # score caches and the task fingerprint all key on the spec.
-        short = WorkloadSpec(dataset="neighbors", num_rows=120, backend="chunked")
-        long = WorkloadSpec(dataset="neighbors", num_rows=120, backend="chunked:4096")
+        short = WorkloadSpec(dataset="neighbors", num_rows=120, backend="sqlite")
+        long = WorkloadSpec(
+            dataset="neighbors", num_rows=120, backend="sqlite:database=:memory:"
+        )
         assert short == long
         assert hash(short) == hash(long)
         with pytest.raises(ValueError):
             WorkloadSpec(dataset="neighbors", backend="bogus")
 
     def test_method_spec_normalises_backend(self):
-        assert MethodSpec(method="srs", backend="chunked").backend == "chunked:4096"
+        assert MethodSpec(method="srs", backend="sqlite:database=:memory:").backend == "sqlite"
         with pytest.raises(ValueError):
             MethodSpec(method="srs", backend="bogus")
 
@@ -340,7 +386,7 @@ class TestWorkloadAndMethodSpecs:
         workload = WorkloadSpec(dataset="neighbors", num_rows=160, cache_labels=False).build()
         budget = workload.sample_size(0.1)
         digests = set()
-        for backend in (None, "sqlite", "chunked:7"):
+        for backend in (None, "numpy", "sqlite"):
             runner = TrialRunner(workload=workload, num_trials=2, seed=7)
             runner.run("srs", MethodSpec(method="srs", backend=backend), budget)
             digests.add(
@@ -354,25 +400,20 @@ class TestWorkloadAndMethodSpecs:
 # -- sqlite spec options grammar ----------------------------------------------
 class TestSqliteSpecOptions:
     def test_default_options_canonicalise_away(self):
-        assert canonical_backend_spec("sqlite:pushdown=counts") == "sqlite"
         assert canonical_backend_spec("sqlite:database=:memory:") == "sqlite"
-        assert (
-            canonical_backend_spec("sqlite:pushdown=off,database=:memory:")
-            == "sqlite:pushdown=off"
-        )
 
     def test_non_default_options_render_sorted(self):
         assert (
-            canonical_backend_spec("sqlite:pushdown=off,database=/tmp/x.db")
-            == "sqlite:database=/tmp/x.db,pushdown=off"
+            canonical_backend_spec("sqlite:database=/tmp/x.db")
+            == "sqlite:database=/tmp/x.db"
         )
 
     @pytest.mark.parametrize(
         ("bad", "fragment"),
         [
-            ("sqlite:pushdown=max", "invalid backend option"),
+            ("sqlite:pushdown=max", "unknown backend option 'pushdown'"),
             ("sqlite:foo=1", "unknown backend option"),
-            ("chunked:rows=8", "takes no options"),
+            ("numpy:rows=64", "takes no options"),
             ("sqlite:1", "takes no argument"),
         ],
     )
@@ -381,38 +422,41 @@ class TestSqliteSpecOptions:
             canonical_backend_spec(bad)
 
     def test_full_level_is_rejected(self, small_points_table):
-        with pytest.raises(ValueError, match="'off', 'counts'"):
+        # No pushdown level survives: the option itself is gone.
+        with pytest.raises(ValueError, match="unknown backend option 'pushdown'"):
             canonical_backend_spec("sqlite:pushdown=full")
-        with pytest.raises(ValueError, match="'off', 'counts'"):
+        with pytest.raises(TypeError):
             SqliteBackend(small_points_table, SkybandPredicate("x", "y", k=3), pushdown="full")
 
-    def test_make_backend_routes_options(self, small_points_table):
+    def test_make_backend_routes_options(self, small_points_table, tmp_path):
         predicate = SkybandPredicate("x", "y", k=3)
-        backend = make_backend("sqlite:pushdown=off", small_points_table, predicate)
-        assert isinstance(backend, SqliteBackend)
-        assert backend.pushdown == "off"
-        assert backend.spec == "sqlite:pushdown=off"
-        backend.close()
+        path = tmp_path / "objects.db"
+        backend = make_backend(f"sqlite:database={path}", small_points_table, predicate)
+        try:
+            assert isinstance(backend, SqliteBackend)
+            assert backend.spec == f"sqlite:database={path}"
+            assert path.exists()
+        finally:
+            backend.close()
 
-    def test_workload_spec_accepts_pushdown_options(self):
-        spec = WorkloadSpec(dataset="neighbors", num_rows=120, backend="sqlite:pushdown=off")
-        assert spec.backend == "sqlite:pushdown=off"
-        dflt = WorkloadSpec(dataset="neighbors", num_rows=120, backend="sqlite:pushdown=counts")
+    def test_workload_spec_accepts_database_option(self, tmp_path):
+        path = tmp_path / "objects.db"
+        spec = WorkloadSpec(dataset="neighbors", num_rows=120, backend=f"sqlite:database={path}")
+        assert spec.backend == f"sqlite:database={path}"
+        dflt = WorkloadSpec(dataset="neighbors", num_rows=120, backend="sqlite:database=:memory:")
         assert dflt.backend == "sqlite"
 
 
 # -- capability advertisement --------------------------------------------------
 class TestCapabilities:
     def test_levels_advertise_expected_capabilities(self, small_points_table):
-        predicate = SkybandPredicate("x", "y", k=3)
-        caps = {
-            level: make_backend(
-                f"sqlite:pushdown={level}", small_points_table, predicate
-            ).capabilities()
-            for level in ("off", "counts")
-        }
-        assert caps["off"] == (CAP_EVALUATE,)
-        assert caps["counts"] == (CAP_EVALUATE, CAP_PREDICATE_PUSHDOWN)
+        for predicate in (
+            NeighborCountPredicate("x", "y", max_neighbors=3, distance=0.5),
+            SkybandPredicate("x", "y", k=3),
+        ):
+            backend = make_backend("sqlite", small_points_table, predicate)
+            assert backend.capabilities() == (CAP_EVALUATE, CAP_PREDICATE_PUSHDOWN)
+            backend.close()
 
     def test_callable_predicate_never_advertises_pushdown(self, small_points_table):
         predicate = CallablePredicate(
@@ -424,12 +468,12 @@ class TestCapabilities:
     def test_baseline_backends_advertise_evaluate_only(self, small_points_table):
         predicate = SkybandPredicate("x", "y", k=3)
         assert NumpyBackend(small_points_table, predicate).capabilities() == (CAP_EVALUATE,)
-        assert ChunkedBackend(small_points_table, predicate).capabilities() == (CAP_EVALUATE,)
 
     def test_repr_shows_capabilities(self, small_points_table):
         predicate = SkybandPredicate("x", "y", k=3)
-        backend = make_backend("sqlite:pushdown=off", small_points_table, predicate)
-        assert "capabilities=evaluate" in repr(backend)
+        backend = make_backend("sqlite", small_points_table, predicate)
+        assert "capabilities=evaluate+predicate-pushdown" in repr(backend)
+        backend.close()
 
     def test_parity_report_carries_capabilities(self):
         report = run_backend_parity(
@@ -454,18 +498,14 @@ class TestSqliteConstructorShim:
     def test_keyword_backend_matches_spec_twin(self, small_points_table):
         predicate = SkybandPredicate("x", "y", k=3)
         indices = np.arange(small_points_table.num_rows)
-        for spec, options in (
-            ("sqlite:pushdown=off", {"pushdown": "off"}),
-            ("sqlite", {"pushdown": "counts"}),
-        ):
-            keyword = SqliteBackend(small_points_table, predicate, **options)
-            via_spec = make_backend(spec, small_points_table, predicate)
-            assert keyword.spec == via_spec.spec == spec
-            assert keyword.capabilities() == via_spec.capabilities()
-            assert keyword.evaluate(indices).tobytes() == via_spec.evaluate(indices).tobytes()
-            assert keyword.evaluate_all().tobytes() == via_spec.evaluate_all().tobytes()
-            keyword.close()
-            via_spec.close()
+        keyword = SqliteBackend(small_points_table, predicate, database=":memory:")
+        via_spec = make_backend("sqlite", small_points_table, predicate)
+        assert keyword.spec == via_spec.spec == "sqlite"
+        assert keyword.capabilities() == via_spec.capabilities()
+        assert keyword.evaluate(indices).tobytes() == via_spec.evaluate(indices).tobytes()
+        assert keyword.evaluate_all().tobytes() == via_spec.evaluate_all().tobytes()
+        keyword.close()
+        via_spec.close()
 
     def test_make_backend_never_warns(self, small_points_table):
         import warnings
@@ -473,40 +513,31 @@ class TestSqliteConstructorShim:
         predicate = SkybandPredicate("x", "y", k=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for spec in ("sqlite", "sqlite:pushdown=off"):
+            for spec in ("sqlite", "sqlite:database=:memory:"):
                 make_backend(spec, small_points_table, predicate).close()
 
 
-# -- chunked scan accounting ---------------------------------------------------
-class TestChunkedScanAccounting:
-    def test_every_block_charged_exactly_once(self, small_points_table):
+# -- scan accounting -----------------------------------------------------------
+class TestScanAccounting:
+    def test_numpy_charges_every_object_read_once(self, small_points_table):
         predicate = SkybandPredicate("x", "y", k=3)
         indices = np.arange(0, small_points_table.num_rows, 2)
         previous = obs.set_enabled(True)
         try:
-            totals = {}
-            for spec in ("numpy", "chunked:7"):
-                obs.reset()
-                backend = make_backend(spec, small_points_table, predicate)
-                backend.features(("x", "y"))
-                backend.features(("x", "y"), indices)
-                backend.evaluate(indices)
-                backend.evaluate_all()
-                totals[spec] = obs.registry().counter_total(
-                    obs.BACKEND_ROWS_SCANNED, backend=spec
-                )
-            # The streaming backend walks features/evaluate block by block;
-            # each block must be charged once — no double counting, no gaps —
-            # so its scan total matches the in-memory reference exactly.
-            assert totals["chunked:7"] == totals["numpy"]
-            expected = (
-                2 * small_points_table.num_rows  # features(None) + evaluate_all
-                + 2 * indices.size  # features(indices) + evaluate(indices)
-            )
-            assert totals["numpy"] == expected
+            obs.reset()
+            backend = make_backend("numpy", small_points_table, predicate)
+            backend.features(("x", "y"))
+            backend.features(("x", "y"), indices)
+            backend.evaluate(indices)
+            backend.evaluate_all()
+            scanned = obs.registry().counter_total(obs.BACKEND_ROWS_SCANNED, backend="numpy")
         finally:
             obs.set_enabled(previous)
             obs.reset()
+        assert scanned == (
+            2 * small_points_table.num_rows  # features(None) + evaluate_all
+            + 2 * indices.size  # features(indices) + evaluate(indices)
+        )
 
     def test_sqlite_charges_objects_labelled_not_rows_visited(self, small_points_table):
         # The SQL plan visits many rows per label (a correlated COUNT), but
@@ -542,7 +573,7 @@ def _pushdown_query(table, predicate, spec):
 
 
 class TestPushdownGrid:
-    """pushdown=off/counts must be byte-identical for LWS and LSS."""
+    """numpy and the sqlite pushdown must be byte-identical for LWS and LSS."""
 
     @pytest.mark.parametrize("make_predicate", [
         lambda: NeighborCountPredicate("x", "y", max_neighbors=3, distance=0.5),
@@ -583,7 +614,7 @@ class TestPushdownGrid:
 
     def test_tiny_budget_empty_strata_byte_identical(self, small_points_table):
         # A stage-II budget small enough that some strata draw zero samples:
-        # those strata fall back to their pilot labels on every level.
+        # those strata fall back to their pilot labels on every backend.
         predicate = SkybandPredicate("x", "y", k=5)
         estimator = LearnedStratifiedSampling()
         fingerprints = set()
@@ -781,7 +812,7 @@ class TestThresholdBoundaryParity:
 
 # -- SQL round-trip accounting under pushdown ----------------------------------
 class TestStageQueryAccounting:
-    """``counts`` labels through batched probe round trips; ``off`` issues none."""
+    """The sqlite pushdown labels through batched probe round trips."""
 
     def _run(self, small_points_table, spec, method, budget, seed=20190621):
         predicate = SkybandPredicate("x", "y", k=5)
@@ -800,9 +831,6 @@ class TestStageQueryAccounting:
 
     def test_counts_level_uses_probe_roundtrips(self, small_points_table):
         assert self._run(small_points_table, "sqlite", "lss", 80) >= 2
-
-    def test_off_level_never_touches_sql(self, small_points_table):
-        assert self._run(small_points_table, "sqlite:pushdown=off", "lss", 80) == 0
 
 
 # -- capabilities surface in the service ---------------------------------------

@@ -58,8 +58,8 @@ class TestWorkflowStructure:
 
     def test_fast_job_runs_backend_parity(self, workflow):
         # The backend-parity gate: the seeded fingerprint workflow must run
-        # across the numpy / sqlite / chunked backends on every push and PR
-        # and fail the build on any byte-level estimate divergence.
+        # across the numpy / sqlite backends on every push and PR and fail
+        # the build on any byte-level estimate divergence.
         steps = workflow["jobs"]["fast"]["steps"]
         parity_step = next(
             s for s in steps if "repro.experiments.parity" in str(s.get("run", ""))
@@ -73,6 +73,16 @@ class TestWorkflowStructure:
         parity = "PYTHONPATH=src python -W error::RuntimeWarning -m repro.experiments.parity"
         assert parity in commands
         assert f"{parity} --dataset sports" in commands
+
+    def test_fast_job_runs_benchmark_smoke(self, workflow):
+        # The benchmark harness runs at toy sizes on every push and PR, so
+        # a broken workload fails CI before it fails the benchmark.
+        steps = workflow["jobs"]["fast"]["steps"]
+        smoke_step = next(
+            s for s in steps if "perfbench/test_smoke.py" in str(s.get("run", ""))
+        )
+        assert str(smoke_step.get("name", "")).lower() == "benchmark harness smoke"
+        assert smoke_step["run"].strip() == "python -m pytest perfbench/test_smoke.py -q"
 
     def test_fast_job_runs_service_smoke(self, workflow):
         # The service smoke gate: every push/PR boots the estimate server,

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from reference_sql import SQLCountingBackend
 
 from repro.query.predicates import NeighborCountPredicate, SkybandPredicate
-from repro.query.sql import SQLCountingBackend, quote_identifier, table_to_sqlite
+from repro.query.sql import quote_identifier, table_to_sqlite
 from repro.query.table import Table
 
 

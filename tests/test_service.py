@@ -202,10 +202,11 @@ class TestSessionSweep:
         assert sweep.points[1].fingerprint == expected
 
     def test_lws_sweep_supported(self, anchor_spec):
+        # LWS has no strata, so the LSS knobs are ignored, never rejected.
         with Session(anchor_spec) as session:
             sweep = session.sweep(
                 [0.1, 0.3], "lws", budget=40, num_trials=1, seed=3,
-                learn_budget=30, learn_seed=4,
+                learn_budget=30, learn_seed=4, optimizer="bogus",
             )
         assert [len(point.estimates) for point in sweep.points] == [1, 1]
 
@@ -213,6 +214,30 @@ class TestSessionSweep:
         with Session(anchor_spec) as session:
             with pytest.raises(ValueError):
                 session.sweep([0.1], "srs", budget=40)
+
+
+class TestRejectedSettingsCostNothing:
+    """A bad LSS knob fails before the scores are learned or looked up."""
+
+    @staticmethod
+    def _learning_counters(session):
+        stats = session.stats
+        return (stats.learning_runs, stats.oracle_calls, stats.score_cache_hits)
+
+    def test_bad_lss_settings_rejected_before_learning(self, anchor_spec):
+        with Session(anchor_spec) as session:
+            requests = (
+                lambda: session.sweep(["S"], optimizer="bogus", budget=60),
+                lambda: session.sweep(["S"], num_strata=0, budget=60),
+                lambda: session.design(optimizer="bogus", budget=60),
+                lambda: session.design(num_strata=0, budget=60),
+            )
+            for request in requests:
+                before = self._learning_counters(session)
+                with pytest.raises(ValueError):
+                    request()
+                assert self._learning_counters(session) == before == (0, 0, 0)
+            assert default_scores_cache.misses == 0 and len(default_scores_cache) == 0
 
 
 class TestSessionDesign:
@@ -362,6 +387,20 @@ class TestServer:
         )
         assert repeat["learning_runs"] == 0
         assert repeat["fingerprint"] == response["fingerprint"]
+
+    def test_bad_sweep_settings_rejected_before_learning(self, server):
+        def counters():
+            stats = request_json(server.url, "/stats")
+            return (stats["learning_runs"], stats["oracle_calls"], stats["score_cache_hits"])
+
+        before = counters()
+        for knobs in ({"optimizer": "bogus"}, {"optimizer": "dirsol", "num_strata": 4}):
+            with pytest.raises(RuntimeError, match="400"):
+                request_json(
+                    server.url, "/sweep",
+                    {"levels": [0.1], "budget": 60, "seed": 41, "learn_budget": 20, **knobs},
+                )
+            assert counters() == before
 
     def test_stats_endpoint_counts_requests(self, server):
         stats = request_json(server.url, "/stats")

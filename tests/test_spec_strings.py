@@ -54,15 +54,19 @@ class TestSpecString:
 
 class TestGrammarConsumers:
     def test_backend_spec_canonicalisation(self):
-        assert canonical_backend_spec("chunked") == "chunked:4096"
-        assert canonical_backend_spec("chunked:64") == "chunked:64"
+        assert canonical_backend_spec("sqlite:database=:memory:") == "sqlite"
         assert canonical_backend_spec("sqlite") == "sqlite"
-        with pytest.raises(ValueError, match="unknown backend"):
-            canonical_backend_spec("postgres")
+        for removed in ("postgres", "chunked", "chunked:64"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                canonical_backend_spec(removed)
+        with pytest.raises(ValueError, match="unknown backend option 'pushdown'"):
+            canonical_backend_spec("sqlite:pushdown=off")
 
     def test_workload_spec_uses_grammar(self):
-        spec = WorkloadSpec(dataset="neighbors", backend="chunked")
-        assert spec.backend == "chunked:4096"
+        spec = WorkloadSpec(dataset="neighbors", backend="sqlite:database=:memory:")
+        assert spec.backend == "sqlite"
+        with pytest.raises(ValueError, match="unknown backend 'chunked'"):
+            WorkloadSpec(dataset="neighbors", backend="chunked")
 
     def test_dispatch_uses_grammar(self):
         # ``warm`` is the only dispatch mode; the removed ``cold`` mode is
