@@ -239,18 +239,10 @@ class LearnedStratifiedSampling:
         query: CountingQuery,
         budget: int,
         seed: SeedLike = None,
-        backend: str | None = None,
     ) -> CountEstimate:
-        """Estimate ``C(O, q)`` spending at most ``budget`` predicate calls.
-
-        ``backend`` optionally reruns the query on another execution backend
-        (see :mod:`repro.query.backends`); the estimate is byte-identical
-        whichever backend executes — only where the predicate runs changes.
-        """
+        """Estimate ``C(O, q)`` spending at most ``budget`` predicate calls."""
         if budget < 8:
             raise ValueError("budget must be at least 8 predicate evaluations")
-        if backend is not None:
-            query = query.with_backend(backend)
         budget = min(budget, query.num_objects)
         rng = resolve_rng(seed)
         evaluations_before = query.evaluations

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.estimate import CountEstimate
 from repro.core.learning_phase import run_learning_phase
 from repro.learning.base import Classifier
@@ -67,18 +69,10 @@ class LearnedWeightedSampling:
         query: CountingQuery,
         budget: int,
         seed: SeedLike = None,
-        backend: str | None = None,
     ) -> CountEstimate:
-        """Estimate ``C(O, q)`` spending at most ``budget`` predicate calls.
-
-        ``backend`` optionally reruns the query on another execution backend
-        (see :mod:`repro.query.backends`); the estimate is byte-identical
-        whichever backend executes — only where the predicate runs changes.
-        """
+        """Estimate ``C(O, q)`` spending at most ``budget`` predicate calls."""
         if budget < 4:
             raise ValueError("budget must be at least 4 predicate evaluations")
-        if backend is not None:
-            query = query.with_backend(backend)
         budget = min(budget, query.num_objects)
         rng = resolve_rng(seed)
         evaluations_before = query.evaluations
@@ -112,32 +106,15 @@ class LearnedWeightedSampling:
         with obs.stage("lws.scoring"):
             scores = learning.classifier.predict_scores(query.features(remaining))
 
-        sampler = WeightedSampling(floor=self.score_floor, confidence=self.confidence)
-        with obs.stage("lws.sampling"):
-            estimate = sampler.estimate(
-                remaining,
-                scores,
-                query.evaluate,
-                sample_size=min(sampling_budget, remaining.size),
-                seed=rng,
-                method=self.method_name,
-            )
-
-        details = dict(
-            estimate.details,
-            learning_count=learning.labelled_count,
+        return self._sampling_phase(
+            query,
+            remaining,
+            scores,
+            sampling_budget,
+            rng,
+            evaluations_before=evaluations_before,
             learning_positives=learning.positive_count,
-        )
-        return CountEstimate(
-            count=estimate.count + learning.positive_count,
-            proportion=estimate.proportion,
-            population_size=estimate.population_size,
-            predicate_evaluations=query.evaluations - evaluations_before,
-            method=self.method_name,
-            interval=estimate.interval,
-            variance=estimate.variance,
-            count_offset=learning.positive_count,
-            details=details,
+            learning_count=learning.labelled_count,
         )
 
     def estimate_from_scores(
@@ -177,20 +154,48 @@ class LearnedWeightedSampling:
                 details={"degenerate": True},
             )
 
+        return self._sampling_phase(
+            query,
+            remaining,
+            learned.scores,
+            int(budget),
+            rng,
+            evaluations_before=evaluations_before,
+            learning_positives=learning_positives,
+            learning_count=int(labels.size),
+        )
+
+    def _sampling_phase(
+        self,
+        query: CountingQuery,
+        remaining: np.ndarray,
+        scores: np.ndarray,
+        sampling_budget: int,
+        rng: np.random.Generator,
+        evaluations_before: int,
+        learning_positives: float,
+        learning_count: int,
+    ) -> CountEstimate:
+        """PPS sampling over the unlabelled remainder, plus the learning offset.
+
+        Shared by :meth:`estimate` (which just learned the scores) and
+        :meth:`estimate_from_scores` (which replays cached ones), so the draw
+        sequence on ``rng`` is identical in both.
+        """
         sampler = WeightedSampling(floor=self.score_floor, confidence=self.confidence)
         with obs.stage("lws.sampling"):
             estimate = sampler.estimate(
                 remaining,
-                learned.scores,
+                scores,
                 query.evaluate,
-                sample_size=min(int(budget), remaining.size),
+                sample_size=min(sampling_budget, remaining.size),
                 seed=rng,
                 method=self.method_name,
             )
 
         details = dict(
             estimate.details,
-            learning_count=int(labels.size),
+            learning_count=learning_count,
             learning_positives=learning_positives,
         )
         return CountEstimate(

@@ -59,12 +59,9 @@ def build_scaled_workload(
     level: str | float,
     scale: ExperimentScale,
     cache_labels: bool = True,
-    backend: str = "numpy",
 ) -> Workload:
-    """Build a workload at the scale's configured size.
+    """Build a workload at the scale's configured size, on the numpy backend.
 
-    ``backend`` selects the query-execution backend (see
-    :mod:`repro.query.backends`); results are byte-identical across backends.
     With an active :func:`shared_session`, the workload is served from (and
     kept in) the session's resident LRU instead of being rebuilt per driver.
     """
@@ -77,12 +74,9 @@ def build_scaled_workload(
             level=level,
             num_rows=num_rows,
             cache_labels=cache_labels,
-            backend=backend,
         )
         return _shared_session.workload_for(spec)
-    return build_workload(
-        dataset, level=level, num_rows=num_rows, cache_labels=cache_labels, backend=backend
-    )
+    return build_workload(dataset, level=level, num_rows=num_rows, cache_labels=cache_labels)
 
 
 def run_distribution(

@@ -92,7 +92,7 @@ def task_fingerprint(
     """Hex digest of one experiment's deterministic task description.
 
     Covers every field of the workload and method specs — including the
-    query-backend choice on both — plus the trial count, master seed and
+    workload spec's query-backend choice — plus the trial count, master seed and
     budget.  Two runs with the same task fingerprint must produce the same
     :func:`estimates_fingerprint`; runs that differ *only* in backend have
     different task fingerprints but, by the backend-parity contract,

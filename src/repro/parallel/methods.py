@@ -24,7 +24,6 @@ from repro.learning.knn import KNeighborsClassifier
 from repro.learning.neural import NeuralNetworkClassifier
 from repro.quantification.adjusted_count import AdjustedCount
 from repro.quantification.classify_count import ClassifyAndCount
-from repro.query.backends import canonical_backend_spec
 from repro.sampling.srs import SimpleRandomSampling
 from repro.sampling.stratified import (
     StratifiedSampling,
@@ -64,13 +63,9 @@ class MethodSpec:
 
     Attributes mirror the knobs the figure drivers sweep over; the defaults
     are the paper's standard configuration (4 strata, 25 % learning split,
-    DynPgm optimizer, random-forest classifier, no augmentation).
-
-    ``backend`` optionally overrides the workload's query backend for this
-    method's trials (canonical backend spec string, see
-    :mod:`repro.query.backends`); ``None`` runs on the workload's own
-    backend.  Like every other field it describes the task, not the result:
-    backend-parity keeps the estimates byte-identical either way.
+    DynPgm optimizer, random-forest classifier, no augmentation).  The query
+    backend is not a method knob: trials run on whatever backend the
+    workload's query was built with (``WorkloadSpec.backend``).
     """
 
     method: str
@@ -79,15 +74,10 @@ class MethodSpec:
     learning_fraction: float = 0.25
     optimizer: str = "dynpgm"
     active_learning_rounds: int = 0
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.backend is not None:
-            # Normalise eagerly so equal configurations hash equally and the
-            # spec fails fast on typos rather than inside a worker process.
-            object.__setattr__(self, "backend", canonical_backend_spec(self.backend))
 
     def build_trial_function(self) -> TrialFunction:
         """Materialise the spec as a ``run_trial(workload, rng, budget)``.
@@ -106,15 +96,6 @@ class MethodSpec:
                 spec.classifier_name, seed=int(rng.integers(2**31 - 1))
             )
             query = workload.query
-            if spec.backend is not None:
-                # Rebind to the requested backend; siblings are cached on the
-                # query, so the backend materialises once per process, not
-                # once per trial.  The runner's fresh_accounting scope wraps
-                # the *workload* query, so restart the sibling's counters
-                # here to keep the per-trial zeroed-accounting invariant.
-                query = query.with_backend(spec.backend)
-                if query is not workload.query:
-                    query.reset_accounting()
             if spec.method == "srs":
                 return SimpleRandomSampling().estimate(
                     query.object_indices(), query.evaluate, budget, seed=rng

@@ -446,19 +446,16 @@ def _parse_backend_spec(spec: str):
     )
 
 
-def canonical_backend_spec(spec: "str | QueryBackend | None") -> str:
+def canonical_backend_spec(spec: str | None) -> str:
     """Normalise a backend spec to its canonical string form.
 
-    ``None`` means the default (``"numpy"``); a backend instance reports its
-    own canonical spec; a string is validated and normalised — an option
-    spelling its default is dropped (``"sqlite:database=:memory:"`` →
-    ``"sqlite"``) — so equal configurations share one spelling in task
-    fingerprints and cache keys.
+    ``None`` means the default (``"numpy"``); a string is validated and
+    normalised — an option spelling its default is dropped
+    (``"sqlite:database=:memory:"`` → ``"sqlite"``) — so equal configurations
+    share one spelling in task fingerprints and cache keys.
     """
     if spec is None:
         return "numpy"
-    if isinstance(spec, QueryBackend):
-        return spec.spec
     return _parse_backend_spec(spec).canonical
 
 

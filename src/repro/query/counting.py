@@ -77,55 +77,12 @@ class CountingQuery:
         self.backend = make_backend(backend, table, predicate)
 
         self._cached_labels: np.ndarray | None = None
-        self._backend_siblings: dict[str, "CountingQuery"] = {}
         self._evaluations = 0
 
     @property
     def backend_spec(self) -> str:
         """Canonical spec string of the backend executing this query."""
         return self.backend.spec
-
-    def with_backend(self, backend: "str | QueryBackend | None") -> "CountingQuery":
-        """A sibling query over the same (table, predicate) on another backend.
-
-        The sibling shares the table, predicate and feature columns but owns
-        its backend, label cache and accounting, so estimates produced
-        through it genuinely exercise the requested backend.  Siblings are
-        cached per canonical spec: repeated trials rebinding to the same
-        backend reuse one materialisation (one sqlite database, one bulk
-        ground-truth pass) instead of rebuilding per trial.
-        """
-        from repro.query.backends import QueryBackend, canonical_backend_spec
-
-        if isinstance(backend, QueryBackend):
-            # A concrete instance is an explicit choice of *object*, not just
-            # of spec string — never satisfied from the sibling cache, which
-            # could silently swap in a differently configured backend.
-            if backend is self.backend:
-                return self
-            return CountingQuery(
-                self.table,
-                self.predicate,
-                feature_columns=self.feature_columns,
-                name=self.name,
-                cache_labels=self.cache_labels,
-                backend=backend,
-            )
-        spec = canonical_backend_spec(backend)
-        if spec == self.backend.spec:
-            return self
-        sibling = self._backend_siblings.get(spec)
-        if sibling is None:
-            sibling = CountingQuery(
-                self.table,
-                self.predicate,
-                feature_columns=self.feature_columns,
-                name=self.name,
-                cache_labels=self.cache_labels,
-                backend=spec,
-            )
-            self._backend_siblings[spec] = sibling
-        return sibling
 
     # -- object enumeration --------------------------------------------------
     @property

@@ -11,8 +11,10 @@ fingerprint, making every served number verifiable against a serial run.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any
 
+from repro.parallel.methods import MethodSpec
 from repro.service.session import EstimateResult, SweepResult
 
 
@@ -56,6 +58,31 @@ def _optional_level(value: Any, name: str = "level") -> "str | float | None":
     raise RequestError(f"{name!r} must be a level name or a selectivity fraction")
 
 
+#: JSON value types accepted for each ``MethodSpec`` field annotation.
+_METHOD_FIELD_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+}
+
+
+def _check_method_object(method: dict) -> None:
+    """Reject a method object ``MethodSpec(**method)`` could not take."""
+    annotations = {spec_field.name: spec_field.type for spec_field in fields(MethodSpec)}
+    unknown = set(method) - set(annotations)
+    if unknown:
+        raise RequestError(
+            f"unknown method fields {sorted(unknown)!r}; "
+            f"a method object takes {list(annotations)!r}"
+        )
+    if "method" not in method:
+        raise RequestError("a method object must name its 'method'")
+    for name, value in method.items():
+        types, description = _METHOD_FIELD_TYPES[annotations[name]]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise RequestError(f"method field {name!r} must be {description}")
+
+
 def parse_estimate_request(payload: Any) -> dict:
     """Validate a ``POST /estimate`` body into ``Session.estimate`` kwargs."""
     payload = _require_mapping(payload)
@@ -68,6 +95,8 @@ def parse_estimate_request(payload: Any) -> dict:
     method = payload.get("method", "lss")
     if not isinstance(method, (str, dict)):
         raise RequestError("'method' must be a spec string or an object")
+    if isinstance(method, dict):
+        _check_method_object(method)
     kwargs: dict = {
         "dataset": payload.get("dataset"),
         "level": _optional_level(payload.get("level")),

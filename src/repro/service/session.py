@@ -642,16 +642,14 @@ class Session:
         method: str = "lss",
         seed: SeedLike = None,
         num_strata: int = 4,
-        backend: str | None = None,
         **estimator_options: Any,
     ) -> LearnToSampleResult:
         """One-shot estimate over a caller-supplied query with any method.
 
         ``method`` is one of :data:`~repro.parallel.methods.METHODS`;
-        ``num_strata`` sizes the stratified methods, ``backend`` optionally
-        overrides the query's backend (estimates are byte-identical whichever
-        backend runs the predicate) and ``estimator_options`` go to the
-        estimator's constructor.  Nothing becomes resident: the caller owns
+        ``num_strata`` sizes the stratified methods and ``estimator_options``
+        go to the estimator's constructor.  The estimate runs on the backend
+        the query was built with.  Nothing becomes resident: the caller owns
         the query.
         """
         from repro.core.lss import LearnedStratifiedSampling
@@ -665,8 +663,6 @@ class Session:
             raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
         if budget <= 0:
             raise ValueError("budget must be positive")
-        if backend is not None:
-            query = query.with_backend(backend)
 
         evaluations_before = query.evaluations
         if method == "lss":

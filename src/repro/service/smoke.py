@@ -1,4 +1,4 @@
-"""CI smoke check: boot the server, serve three requests, verify every byte.
+"""CI smoke check: boot the server, serve four requests, verify every byte.
 
 Exercises the whole service stack in one short run — session residency, the
 asyncio server, the JSON schema and the digest plumbing:
@@ -7,7 +7,10 @@ asyncio server, the JSON schema and the digest plumbing:
    :func:`~repro.parallel.tasks.execute_trials` run of the same task;
 2. ``POST /sweep`` — exactly one learning phase, and a spot-checked point
    must be byte-identical to its serial score-reuse replay;
-3. ``GET /stats`` — counters must reflect the two requests.
+3. ``GET /stats`` — counters must reflect the two requests;
+4. ``POST /estimate`` whose method object names a ``backend`` — the backend
+   is fixed when the session is built, so this must answer 400 and leave
+   ``estimates_served`` unchanged.
 
 With ``--trace-out PATH`` the run additionally enables the ``repro.obs``
 subsystem, checks ``GET /metrics`` serves a Prometheus exposition, and dumps
@@ -134,8 +137,27 @@ def run_smoke(verbose: bool = True, trace_out: "str | None" = None) -> int:
         if stats["learning_runs"] != 1:
             failures.append(f"stats report {stats['learning_runs']} learning runs, wanted 1")
 
+        # Request 4: a per-request backend override is malformed input.
+        try:
+            request_json(
+                server.url,
+                "/estimate",
+                {"method": {"method": "srs", "backend": "sqlite"}, "budget": BUDGET},
+            )
+            failures.append("/estimate with a method backend was served, wanted 400")
+        except RuntimeError as exc:
+            note(f"/estimate with a method backend rejected: {exc}")
+            if "-> 400:" not in str(exc):
+                failures.append(f"/estimate with a method backend: {exc}, wanted 400")
+        served = request_json(server.url, "/stats")["estimates_served"]
+        if served != stats["estimates_served"]:
+            failures.append(
+                f"rejected request moved estimates_served from "
+                f"{stats['estimates_served']} to {served}"
+            )
+
         if trace_out:
-            # Request 4 (obs runs only): /metrics must expose both the stage
+            # Request 5 (obs runs only): /metrics must expose both the stage
             # histograms collected above and the session counters.
             exposition = request_text(server.url, "/metrics")
             for needle in ("repro_stage_seconds", "repro_session_estimates_served_total"):
@@ -152,7 +174,7 @@ def run_smoke(verbose: bool = True, trace_out: "str | None" = None) -> int:
 
     for failure in failures:
         print(f"[smoke] FAIL: {failure}", file=sys.stderr)
-    note("all three requests verified" if not failures else f"{len(failures)} failure(s)")
+    note("all four requests verified" if not failures else f"{len(failures)} failure(s)")
     return 1 if failures else 0
 
 

@@ -288,6 +288,26 @@ class TestSessionResidency:
             assert rebuilt.fingerprint == first.fingerprint
             assert session.stats.evictions == 2
 
+    def test_close_releases_every_sqlite_connection(self):
+        def spec(dataset: str, level: str) -> WorkloadSpec:
+            return WorkloadSpec(dataset=dataset, level=level, num_rows=NUM_ROWS,
+                                seed=TABLE_SEED, backend="sqlite")
+
+        with Session("neighbors", num_rows=NUM_ROWS, seed=TABLE_SEED, backend="sqlite",
+                     max_resident=1) as session:
+            session.estimate("srs", budget=30, seed=1)
+            session.estimate("srs", level="L", budget=30, seed=1)
+            evicted = [session.workload_for(spec("neighbors", level)) for level in ("S", "L")]
+            # A second family displaces the neighbors family, both levels…
+            session.estimate("srs", dataset="sports", budget=30, seed=1)
+            assert session.stats.evictions == 1
+            resident = session.workload_for(spec("sports", "S"))
+            assert resident.query.backend.connection is not None
+        # …and close() releases the family still resident.
+        for workload in evicted + [resident]:
+            assert workload.query.backend_spec == "sqlite"
+            assert workload.query.backend.connection is None
+
     def test_workload_for_shares_table_across_levels(self):
         spec = WorkloadSpec(dataset="neighbors", level="S", num_rows=NUM_ROWS, seed=TABLE_SEED)
         with Session(spec) as session:
@@ -324,6 +344,10 @@ class TestSchema:
         )
         assert kwargs["method"] == "lss:logbdr"
         assert kwargs["level"] == 0.2 and kwargs["budget"] == 40
+        method = {"method": "lss", "optimizer": "dirsol", "num_strata": 6,
+                  "learning_fraction": 0.3, "classifier_name": "knn",
+                  "active_learning_rounds": 1}
+        assert parse_estimate_request({"method": method})["method"] == method
 
     @pytest.mark.parametrize(
         "payload",
@@ -333,6 +357,15 @@ class TestSchema:
             {"budget": 0},
             {"unknown_field": 1},
             {"level": True},
+            {"method": {"method": "srs", "bogus": 1}},
+            {"method": {"method": "srs", "backend": "sqlite"}},
+            {"method": {"num_strata": 4}},
+            {"method": {"method": "lss", "num_strata": "4"}},
+            {"method": {"method": "lss", "active_learning_rounds": 1.5}},
+            {"method": {"method": "lws", "learning_fraction": "0.3"}},
+            {"method": {"method": "lws", "learning_fraction": True}},
+            {"method": {"method": "lss", "classifier_name": 3}},
+            {"method": {"method": "lss", "optimizer": None}},
         ],
     )
     def test_estimate_request_rejects_malformed(self, payload):
@@ -441,6 +474,18 @@ class TestServer:
         finally:
             worker.join(timeout=120)
         assert probes >= 1 and slow_response[0]["learning_runs"] in (0, 1)
+
+    def test_method_backend_cannot_plant_a_database(self, server, tmp_path):
+        planted = tmp_path / "planted.db"
+        before = request_json(server.url, "/stats")["requests"]
+        with pytest.raises(RuntimeError, match="400"):
+            request_json(
+                server.url, "/estimate",
+                {"method": {"method": "srs", "backend": f"sqlite:database={planted}"},
+                 "budget": 30},
+            )
+        assert list(tmp_path.iterdir()) == []
+        assert request_json(server.url, "/stats")["requests"] == before
 
     def test_malformed_request_yields_400(self, server):
         with pytest.raises(RuntimeError, match="400"):
