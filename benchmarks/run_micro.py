@@ -2,7 +2,8 @@
 
 Each benchmark times one vectorized kernel against the retained
 ``*_reference`` scalar implementation (for the forest kernels, the reference
-CART in ``tests/reference_tree.py``) on a deterministic, seeded workload,
+CART in ``tests/reference_tree.py``; for the PPS draw, the full stable sort in
+``tests/reference_sampling.py``) on a deterministic, seeded workload,
 verifies that both produce identical results, and reports the speedup.  The
 driver emits ``BENCH_micro.json`` at the repository root so successive PRs
 leave a perf trajectory (`BENCH_*.json`) that CI can archive; the document
@@ -37,6 +38,7 @@ for _path in (_SRC, _TESTS):
         sys.path.insert(0, str(_path))
 
 import numpy as np  # noqa: E402
+from reference_sampling import pps_permutation_reference  # noqa: E402
 from reference_tree import fit_forest_reference, forest_scores_reference  # noqa: E402
 
 from repro.core.learning_phase import default_classifier  # noqa: E402
@@ -54,6 +56,7 @@ from repro.query.predicates import NeighborCountPredicate  # noqa: E402
 from repro.query.spatial import GridIndex  # noqa: E402
 from repro.sampling.rng import spawn_seeds  # noqa: E402
 from repro.sampling.stratified import StrataPartition, StratifiedSampling  # noqa: E402
+from repro.sampling.weighted import normalise_size_measures, pps_permutation  # noqa: E402
 
 DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_micro.json"
 
@@ -263,6 +266,27 @@ def bench_forest_predict(scale: str = "full", repeats: int = 3) -> dict:
     return _entry("forest_predict_scores", reference_seconds, kernel_seconds)
 
 
+def bench_pps_draw(scale: str = "full", repeats: int = 3) -> dict:
+    """The LWS sampling draw: the first k of a PPS order over forest scores.
+
+    Full scale is the served LWS request's shape (k = 600 draws from
+    N = 11,800 objects); both sides draw from an equally seeded generator.
+    """
+    points, features, labels = _learning_sample("full" if scale == "full" else "small")
+    scores = default_classifier(seed=7).fit(features, labels).predict_scores(points)
+    probabilities = normalise_size_measures(scores[: 11_800 if scale == "full" else 3_000])
+    size = 600 if scale == "full" else 150
+    repeats *= 20  # one draw is well under a millisecond
+    reference_seconds, expected = _best_of(
+        lambda: pps_permutation_reference(probabilities, size, seed=2024), repeats
+    )
+    kernel_seconds, drawn = _best_of(
+        lambda: pps_permutation(probabilities, size, seed=2024), repeats
+    )
+    assert drawn.tobytes() == expected.tobytes(), "PPS draw diverged from the full sort"
+    return _entry("pps_draw", reference_seconds, kernel_seconds)
+
+
 BENCHMARKS: tuple[Callable[..., dict], ...] = (
     bench_grid_bulk,
     bench_grid_batch,
@@ -272,6 +296,7 @@ BENCHMARKS: tuple[Callable[..., dict], ...] = (
     bench_counting_batch,
     bench_forest_fit,
     bench_forest_predict,
+    bench_pps_draw,
 )
 
 
@@ -282,8 +307,8 @@ def run_all(scale: str = "full", repeats: int = 3) -> dict:
         entry = bench(scale=scale, repeats=repeats)
         results.append(entry)
         print(
-            f"{entry['name']:36s} reference {entry['reference_seconds']*1e3:9.1f} ms  "
-            f"kernel {entry['kernel_seconds']*1e3:9.1f} ms  speedup {entry['speedup']:6.1f}x"
+            f"{entry['name']:36s} reference {entry['reference_seconds']*1e3:9.2f} ms  "
+            f"kernel {entry['kernel_seconds']*1e3:9.2f} ms  speedup {entry['speedup']:6.1f}x"
         )
     return {
         "suite": "micro-kernels",

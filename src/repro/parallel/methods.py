@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.estimate import CountEstimate
-from repro.core.lss import LearnedStratifiedSampling
+from repro.core.lss import OPTIMIZERS, LearnedStratifiedSampling
 from repro.core.lws import LearnedWeightedSampling
 from repro.learning.base import Classifier
 from repro.learning.dummy import RandomScoreClassifier
@@ -34,6 +34,9 @@ from repro.workloads.queries import Workload
 
 #: All estimator identifiers a :class:`MethodSpec` accepts.
 METHODS = ("srs", "ssp", "ssn", "lws", "lss", "qlcc", "qlac")
+
+#: The classifier names :func:`classifier_factory` builds.
+CLASSIFIERS = ("rf", "knn", "nn", "random")
 
 TrialFunction = Callable[[Workload, np.random.Generator, int], CountEstimate]
 """Run one trial: ``(workload, rng, budget) -> CountEstimate``."""
@@ -54,7 +57,7 @@ def classifier_factory(name: str, seed: int | None = None) -> Classifier | None:
         return NeuralNetworkClassifier(hidden_layers=(5, 2), seed=seed)
     if name == "random":
         return RandomScoreClassifier(seed=seed)
-    raise ValueError(f"unknown classifier {name!r}; choose rf, knn, nn or random")
+    raise ValueError(f"unknown classifier {name!r}; choose from {CLASSIFIERS}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,18 @@ class MethodSpec:
     active_learning_rounds: int = 0
 
     def __post_init__(self) -> None:
+        # Checked here, not in the trial, so a bad spec fails before a caller
+        # builds any workload for it.
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+        if self.classifier_name not in CLASSIFIERS:
+            raise ValueError(
+                f"unknown classifier {self.classifier_name!r}; choose from {CLASSIFIERS}"
+            )
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}")
+        if self.num_strata <= 0:
+            raise ValueError("num_strata must be positive")
 
     def build_trial_function(self) -> TrialFunction:
         """Materialise the spec as a ``run_trial(workload, rng, budget)``.

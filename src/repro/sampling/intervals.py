@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def wald_interval(
     case :func:`wilson_interval` should be preferred.
     """
     _validate_inputs(proportion, sample_size, confidence)
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = special.ndtri(0.5 + confidence / 2.0)
     fpc = finite_population_correction(sample_size, population_size)
     half_width = z * np.sqrt(proportion * (1.0 - proportion) / sample_size * fpc)
     return ConfidenceInterval(
@@ -105,7 +105,7 @@ def wilson_interval(
     Wald interval.
     """
     _validate_inputs(proportion, sample_size, confidence)
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = special.ndtri(0.5 + confidence / 2.0)
     fpc = finite_population_correction(sample_size, population_size)
     # Applying the correction through an inflated effective sample size keeps
     # the interval inside [0, 1] by construction.
@@ -141,7 +141,7 @@ def normal_interval_from_variance(
     """
     if variance < 0:
         variance = 0.0
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = special.ndtri(0.5 + confidence / 2.0)
     half_width = z * np.sqrt(variance)
     return ConfidenceInterval(
         low=float(max(0.0, proportion - half_width)),
@@ -167,7 +167,7 @@ def stratified_t_interval(
         variance = 0.0
     if degrees_of_freedom < 1:
         degrees_of_freedom = 1
-    t = stats.t.ppf(0.5 + confidence / 2.0, df=degrees_of_freedom)
+    t = special.stdtrit(degrees_of_freedom, 0.5 + confidence / 2.0)
     half_width = t * np.sqrt(variance)
     return ConfidenceInterval(
         low=float(max(0.0, proportion - half_width)),

@@ -45,24 +45,38 @@ def normalise_size_measures(size_measures: np.ndarray, floor: float = 1e-3) -> n
 
 def pps_permutation(
     probabilities: np.ndarray,
+    size: int,
     seed: SeedLike = None,
 ) -> np.ndarray:
-    """The full seeded PPS draw order over all candidates.
+    """The first ``size`` draws of the seeded PPS draw order.
 
     One vectorised exponential-races pass (Efraimidis–Spirakis): sorting
-    ``Exp(p_i)`` draws ascending reproduces sequential PPS sampling without
-    replacement, so element ``k`` of the returned permutation is the ``k``-th
-    draw.  The RNG consumption is one ``exponential(size=n)`` call regardless
-    of how much of the permutation is later used.
+    ``Exp(1) / p_i`` keys ascending reproduces sequential PPS sampling
+    without replacement, so element ``k`` of the result is the ``k``-th
+    draw.  Only the draws that are used get ordered: the ``size``-th
+    smallest key is found by partitioning, every index whose key is at most
+    that value is kept (so all ties at the boundary stay), and the kept
+    indices are ordered by ``(key, index)``.  The result equals
+    ``np.argsort(keys, kind="stable")[:size]`` byte for byte, and the RNG
+    consumption is one ``exponential(size=n)`` call whatever ``size`` is.
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
-    if probabilities.ndim != 1:
-        raise ValueError("probabilities must be a 1-d array")
-    if np.any(probabilities <= 0):
+    if probabilities.ndim != 1 or probabilities.size == 0:
+        raise ValueError("probabilities must be a non-empty 1-d array")
+    if not np.all(probabilities > 0):
         raise ValueError("all probabilities must be strictly positive")
+    if not 0 <= size <= probabilities.size:
+        raise ValueError(
+            f"cannot draw {size} distinct objects from {probabilities.size} candidates"
+        )
     rng = resolve_rng(seed)
     keys = rng.exponential(scale=1.0, size=probabilities.size) / probabilities
-    return np.argsort(keys, kind="stable")
+    # At size 0 the index -1 picks the largest key: everything is kept and
+    # the slice below empties it, so no size needs a branch of its own.
+    threshold = np.partition(keys, size - 1)[size - 1]
+    kept = np.flatnonzero(keys <= threshold)
+    # ``kept`` ascends, so a stable sort of its keys breaks ties by index.
+    return kept[np.argsort(keys[kept], kind="stable")][:size]
 
 
 def pps_sample_without_replacement(
@@ -75,16 +89,10 @@ def pps_sample_without_replacement(
     Draws are sequential: at each step the next index is chosen among the
     remaining ones with probability proportional to its initial measure,
     which is exactly the sampling design the Des Raj estimator assumes.
-    The sample is the first ``size`` elements of :func:`pps_permutation`.
+    The sample is :func:`pps_permutation` with the same ``size``; ``size``
+    must lie in ``[0, len(probabilities)]``.
     """
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    if size < 0:
-        raise ValueError("sample size must be non-negative")
-    if size > probabilities.size:
-        raise ValueError(
-            f"cannot draw {size} distinct objects from {probabilities.size} candidates"
-        )
-    return pps_permutation(probabilities, seed=seed)[:size]
+    return pps_permutation(probabilities, size, seed=seed)
 
 
 @dataclass
@@ -156,6 +164,10 @@ class DesRajEstimator:
 class WeightedSampling:
     """PPS-without-replacement count estimator (the sampling half of LWS).
 
+    Each estimate draws its ``sample_size`` objects with
+    :func:`pps_permutation`, which orders only those draws, not the whole
+    population, and labels them in draw order for the Des Raj estimator.
+
     Args:
         floor: minimum size measure ε so every object stays sampleable.
         confidence: coverage level for the normal-approximation interval.
@@ -197,7 +209,7 @@ class WeightedSampling:
             raise ValueError("sample_size must be positive")
 
         probabilities = normalise_size_measures(size_measures, floor=self.floor)
-        positions = pps_permutation(probabilities, seed=seed)[:sample_size]
+        positions = pps_permutation(probabilities, sample_size, seed=seed)
         drawn_objects = objects[positions]
         drawn_probabilities = probabilities[positions]
         labels = evaluate_labels(oracle, drawn_objects)

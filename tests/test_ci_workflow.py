@@ -84,6 +84,17 @@ class TestWorkflowStructure:
         assert str(smoke_step.get("name", "")).lower() == "benchmark harness smoke"
         assert smoke_step["run"].strip() == "python -m pytest perfbench/test_smoke.py -q"
 
+    def test_fast_job_runs_micro_identity_asserts(self, workflow):
+        # The micro-benchmarks assert each kernel against its reference;
+        # at small scale they run on every push and PR.
+        steps = workflow["jobs"]["fast"]["steps"]
+        micro_step = next(
+            s for s in steps if "benchmarks/run_micro.py" in str(s.get("run", ""))
+        )
+        run = " ".join(str(micro_step["run"]).split())
+        assert "--scale small" in run and "--repeats 1" in run
+        assert "BENCH_micro.json" not in run, "the fast tier must not overwrite the trajectory"
+
     def test_fast_job_runs_service_smoke(self, workflow):
         # The service smoke gate: every push/PR boots the estimate server,
         # serves estimate/sweep/stats requests and verifies every served

@@ -46,6 +46,20 @@ class TestCommonHelpers:
         with pytest.raises(ValueError):
             MethodSpec("bogus")
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("classifier_name", "bogus", "unknown classifier"),
+            ("optimizer", "bogus", "unknown optimizer"),
+            ("num_strata", 0, "num_strata"),
+        ],
+    )
+    def test_method_spec_rejects_bad_knobs(self, field, value, match):
+        # Every method checks every knob, so an unused one cannot carry a
+        # typo into a fingerprint.
+        with pytest.raises(ValueError, match=match):
+            MethodSpec("srs", **{field: value})
+
 
 class TestTable1:
     def test_rows_cover_grid(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from repro.sampling.intervals import (
     ConfidenceInterval,
@@ -100,6 +101,36 @@ class TestOtherIntervals:
     def test_stratified_t_interval_dof_floor(self):
         interval = stratified_t_interval(0.5, 0.01, degrees_of_freedom=0)
         assert np.isfinite(interval.width)
+
+
+class TestClosedFormQuantiles:
+    """The intervals call ``scipy.special`` directly for their quantiles.
+
+    ``ndtri`` and ``stdtrit`` are what ``stats.norm.ppf`` and ``stats.t.ppf``
+    evaluate; every interval (and so every pinned fingerprint) depends on
+    the two agreeing to the last bit, so a scipy release in which they
+    diverge must fail here.
+    """
+
+    CONFIDENCES = np.concatenate([np.linspace(0.001, 0.999, 2000), [0.9, 0.95, 0.99]])
+
+    def test_normal_quantile_matches_distribution_ppf(self):
+        quantiles = 0.5 + self.CONFIDENCES / 2.0
+        for confidence, q in zip(self.CONFIDENCES, quantiles):
+            z = stats.norm.ppf(q)
+            interval = normal_interval_from_variance(0.5, 1e-4, confidence)
+            assert interval.high == float(min(1.0, 0.5 + z * np.sqrt(1e-4)))
+        assert np.array_equal(special.ndtri(quantiles), stats.norm.ppf(quantiles))
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 50, 400, 1000.5])
+    def test_t_quantile_matches_distribution_ppf(self, df):
+        quantiles = 0.5 + self.CONFIDENCES / 2.0
+        assert np.array_equal(special.stdtrit(df, quantiles), stats.t.ppf(quantiles, df=df))
+        if float(df).is_integer():
+            for confidence, q in zip(self.CONFIDENCES[::50], quantiles[::50]):
+                t = stats.t.ppf(q, df=df)
+                interval = stratified_t_interval(0.5, 1e-4, int(df), confidence)
+                assert interval.high == float(min(1.0, 0.5 + t * np.sqrt(1e-4)))
 
 
 class TestConfidenceIntervalType:

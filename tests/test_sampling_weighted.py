@@ -63,6 +63,15 @@ class TestPPSSampling:
         with pytest.raises(ValueError):
             pps_sample_without_replacement(np.array([0.0, 1.0]), 1)
 
+    def test_negative_size_nan_probability_and_empty_input_rejected(self):
+        for probabilities, size in (
+            (np.array([0.5, 0.5]), -1),
+            (np.array([np.nan, 1.0]), 1),
+            (np.array([]), 0),
+        ):
+            with pytest.raises(ValueError):
+                pps_sample_without_replacement(probabilities, size)
+
 
 class TestDesRajEstimator:
     def test_perfect_classifier_gives_exact_estimate(self):

@@ -239,6 +239,18 @@ class TestRejectedSettingsCostNothing:
                 assert self._learning_counters(session) == before == (0, 0, 0)
             assert default_scores_cache.misses == 0 and len(default_scores_cache) == 0
 
+    def test_bad_method_rejected_before_any_level_is_built(self, anchor_spec):
+        with Session(anchor_spec) as session:
+            resident = session._resident()
+            levels = len(resident.level_specs())
+            for i in range(25):
+                with pytest.raises(ValueError, match="unknown classifier"):
+                    session.estimate(
+                        {"method": "srs", "classifier_name": "bogus"}, level=0.1 + i / 1000
+                    )
+            assert len(resident.level_specs()) == levels
+            assert session.stats.requests == 0
+
 
 class TestSessionDesign:
     """A served design names the optimizer that produced it and any fallback."""

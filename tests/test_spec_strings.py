@@ -97,3 +97,5 @@ class TestGrammarConsumers:
             parse_method_spec("bogus")
         with pytest.raises(ValueError, match="unknown optimizer"):
             parse_method_spec("lss:bogus")
+        with pytest.raises(ValueError, match="unknown optimizer"):
+            parse_method_spec({"method": "lss", "optimizer": "bogus"})
